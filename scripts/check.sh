@@ -2,11 +2,12 @@
 # Full local gate: tier-1 build + tests, the sanitizer suites, and the perf
 # smoke runs.  Everything a PR must keep green, in one command:
 #
-#   scripts/check.sh            # tier-1 + asan + tsan + perf smoke
+#   scripts/check.sh            # tier-1 + warp + asan + tsan + ubsan + perf
 #   scripts/check.sh --fast     # tier-1 only
 #
-# Build trees: build/ (tier-1), build-asan/, build-tsan/.  Sanitizer trees
-# skip bench and examples — the sanitized test binaries are the point.
+# Build trees: build/ (tier-1), build-asan/, build-tsan/, build-ubsan/.
+# Sanitizer trees skip bench and examples — the sanitized test binaries are
+# the point.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -37,6 +38,12 @@ if [[ "$FAST" == 1 ]]; then
   exit 0
 fi
 
+step "warp: per-thread kernel bodies under the bit-identity suites"
+# Analytic launches compute on the host engines; these re-run the core,
+# fault, compute, graph-pipeline and DDP suites with warp fidelity as the
+# process default, so the per-thread bodies meet the same assertions.
+ctest --test-dir build --output-on-failure -L warp
+
 step "asan: build + asan.* suite"
 cmake -B build-asan -S . -DSAGESIM_SANITIZE=address \
   -DSAGESIM_BUILD_BENCH=OFF -DSAGESIM_BUILD_EXAMPLES=OFF >/dev/null
@@ -48,6 +55,12 @@ cmake -B build-tsan -S . -DSAGESIM_SANITIZE=thread \
   -DSAGESIM_BUILD_BENCH=OFF -DSAGESIM_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build build-tsan -j "$JOBS"
 ctest --test-dir build-tsan --output-on-failure -L tsan
+
+step "ubsan: build + ubsan.* suite"
+cmake -B build-ubsan -S . -DSAGESIM_SANITIZE=undefined \
+  -DSAGESIM_BUILD_BENCH=OFF -DSAGESIM_BUILD_EXAMPLES=OFF >/dev/null
+cmake --build build-ubsan -j "$JOBS"
+ctest --test-dir build-ubsan --output-on-failure -L ubsan
 
 step "perf: microbench smoke"
 ctest --test-dir build --output-on-failure -L perf

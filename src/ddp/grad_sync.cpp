@@ -151,16 +151,11 @@ void GradientSynchronizer::pack_bucket(std::size_t rank, const Bucket& b,
   for (const std::size_t i : b.params) {
     nn::Param* p = replicas_[rank][i];
     const float* g = p->grad.data();
-    const std::size_t n = p->size();
-    dev.launch_linear(
-        "ddp_pack", n, 256,
-        [&](const gpu::ThreadCtx& ctx) {
-          const std::uint64_t j = ctx.global_x();
-          bucket[offset + j] = g[j];
-          ctx.add_bytes(2.0 * sizeof(float));
-        },
-        opts);
-    offset += n;
+    float* dst = bucket + offset;
+    gpu::elementwise(
+        &dev, "ddp_pack", p->size(), 0.0, 2.0 * sizeof(float),
+        [=](std::size_t j) { dst[j] = g[j]; }, opts);
+    offset += p->size();
   }
 }
 
@@ -174,16 +169,11 @@ void GradientSynchronizer::unpack_bucket(std::size_t rank, const Bucket& b,
   for (const std::size_t i : b.params) {
     nn::Param* p = replicas_[rank][i];
     float* g = p->grad.data();
-    const std::size_t n = p->size();
-    dev.launch_linear(
-        "ddp_unpack", n, 256,
-        [&](const gpu::ThreadCtx& ctx) {
-          const std::uint64_t j = ctx.global_x();
-          g[j] = bucket[offset + j];
-          ctx.add_bytes(2.0 * sizeof(float));
-        },
-        opts);
-    offset += n;
+    const float* src = bucket + offset;
+    gpu::elementwise(
+        &dev, "ddp_unpack", p->size(), 0.0, 2.0 * sizeof(float),
+        [=](std::size_t j) { g[j] = src[j]; }, opts);
+    offset += p->size();
   }
 }
 

@@ -56,15 +56,9 @@ void device_axpy(gpu::Device& dev, float* a, const float* b,
                  std::size_t count, const char* name, int stream) {
   gpu::LaunchOptions opts;
   opts.stream = stream;
-  dev.launch_linear(
-      name, count, 256,
-      [&](const gpu::ThreadCtx& ctx) {
-        const std::uint64_t i = ctx.global_x();
-        a[i] += b[i];
-        ctx.add_flops(1.0);
-        ctx.add_bytes(3.0 * sizeof(float));
-      },
-      opts);
+  gpu::elementwise(
+      &dev, name, count, 1.0, 3.0 * sizeof(float),
+      [=](std::size_t i) { a[i] += b[i]; }, opts);
 }
 
 }  // namespace
@@ -218,18 +212,12 @@ void scale_buffers(gpu::DeviceManager& devices,
                    std::size_t count, float factor) {
   validate(buffers, count);
   for (const auto& b : buffers) {
-    auto& dev = devices.device(b.device);
     gpu::LaunchOptions opts;
     opts.stream = b.stream;
-    dev.launch_linear(
-        "allreduce_scale", count, 256,
-        [&](const gpu::ThreadCtx& ctx) {
-          const std::uint64_t i = ctx.global_x();
-          b.data[i] *= factor;
-          ctx.add_flops(1.0);
-          ctx.add_bytes(2.0 * sizeof(float));
-        },
-        opts);
+    float* data = b.data;
+    gpu::elementwise(
+        &devices.device(b.device), "allreduce_scale", count, 1.0,
+        2.0 * sizeof(float), [=](std::size_t i) { data[i] *= factor; }, opts);
   }
 }
 

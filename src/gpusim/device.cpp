@@ -420,19 +420,36 @@ LaunchResult Device::launch_linear(const std::string& name, std::uint64_t n,
                                    std::uint32_t block_size,
                                    const ThreadKernel& kernel,
                                    LaunchOptions opts) {
-  if (n == 0) throw std::invalid_argument("launch_linear: n must be > 0");
-  if (block_size == 0)
-    throw std::invalid_argument("launch_linear: block_size must be > 0");
-  const Dim3 grid{div_up(n, block_size)};
-  const Dim3 block{block_size};
   // Guard threads beyond n, like every CUDA 1-D kernel's `if (i < n)`;
   // going through ctx.branch lets warp fidelity see the tail mask.
   return launch(
-      name, grid, block,
+      name, linear_grid(n, block_size), Dim3{block_size},
       [&](const ThreadCtx& ctx) {
         if (ctx.branch(ctx.global_x() < n)) kernel(ctx);
       },
       opts);
+}
+
+LaunchResult Device::launch_modeled(const std::string& name, Dim3 grid,
+                                    Dim3 block, const WorkCounters& cost,
+                                    const std::function<void()>& host,
+                                    const ThreadKernel& kernel,
+                                    LaunchOptions opts) {
+  if (warp_fidelity_enabled(opts))
+    return launch(name, grid, block, kernel, opts);
+  {
+    std::lock_guard lock(mutex_);
+    validate_launch(grid, block, opts);
+  }
+  host();
+  return finish_launch(name, grid, block, opts, cost, nullptr);
+}
+
+Dim3 linear_grid(std::uint64_t n, std::uint32_t block_size) {
+  if (n == 0) throw std::invalid_argument("launch_linear: n must be > 0");
+  if (block_size == 0)
+    throw std::invalid_argument("launch_linear: block_size must be > 0");
+  return Dim3{div_up(n, block_size)};
 }
 
 }  // namespace sagesim::gpu

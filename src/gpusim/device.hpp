@@ -3,7 +3,9 @@
 // Results are bit-real (kernels execute on the host); time is modeled (see
 // timing.hpp) and recorded into a prof::Timeline so the course's profiling
 // workflow — launch, trace, read the timeline, find the bottleneck — works
-// unchanged.
+// unchanged.  Library kernels (GEMM, SpMM, elementwise) launch through
+// launch_modeled: analytic launches compute on the host engines and price
+// from closed-form counts, warp launches run their per-thread bodies.
 #pragma once
 
 #include <memory>
@@ -112,6 +114,18 @@ class Device {
                              const ThreadKernel& kernel,
                              LaunchOptions opts = {});
 
+  /// Launches a kernel that has a host body and a per-thread body computing
+  /// the same bits.  Under analytic fidelity the launch is validated, @p host
+  /// computes the result, and the launch is priced from @p cost: the flop
+  /// and byte totals the threads would report.  Under Fidelity::kWarp the
+  /// per-thread @p kernel runs over grid x block exactly as launch() runs
+  /// it, so the warp model sees every lane.
+  LaunchResult launch_modeled(const std::string& name, Dim3 grid, Dim3 block,
+                              const WorkCounters& cost,
+                              const std::function<void()>& host,
+                              const ThreadKernel& kernel,
+                              LaunchOptions opts = {});
+
   /// Advances simulated time on @p stream by a known-cost operation and
   /// records it (used to model library calls with analytic costs).
   void charge(const std::string& name, prof::EventKind kind,
@@ -137,6 +151,45 @@ class Device {
   std::vector<Stream> streams_;
   int comm_stream_{-1};
 };
+
+/// Grid of a 1-D launch covering @p n threads in blocks of @p block_size,
+/// as launch_linear shapes it.  Throws std::invalid_argument when either is
+/// zero.
+Dim3 linear_grid(std::uint64_t n, std::uint32_t block_size);
+
+/// Runs fn(i) for every i in [0, n): as a plain host loop when @p dev is
+/// null, otherwise as one 1-D launch of 256-thread blocks that charges
+/// @p flops_per_elem and @p bytes_per_elem per element.  Analytic launches
+/// run the loop on the host and are priced from n times the per-element
+/// counts; warp launches give each element its own thread behind the
+/// `i < n` tail guard.  With whole-number counts (every caller's) both
+/// totals agree exactly.
+template <typename Fn>
+void elementwise(Device* dev, const std::string& name, std::uint64_t n,
+                 double flops_per_elem, double bytes_per_elem, Fn&& fn,
+                 LaunchOptions opts = {}) {
+  const auto host = [&] {
+    for (std::uint64_t i = 0; i < n; ++i) fn(i);
+  };
+  if (dev == nullptr) {
+    host();
+    return;
+  }
+  constexpr std::uint32_t kBlock = 256;
+  const double count = static_cast<double>(n);
+  dev->launch_modeled(
+      name, linear_grid(n, kBlock), Dim3{kBlock},
+      WorkCounters{count * flops_per_elem, count * bytes_per_elem}, host,
+      [&](const ThreadCtx& ctx) {
+        const std::uint64_t i = ctx.global_x();
+        if (!ctx.branch(i < n)) return;
+        fn(i);
+        // A pure copy issues no arithmetic instruction.
+        if (flops_per_elem != 0.0) ctx.add_flops(flops_per_elem);
+        ctx.add_bytes(bytes_per_elem);
+      },
+      opts);
+}
 
 /// Typed RAII handle over a device allocation (thrust::device_vector-lite).
 template <typename T>

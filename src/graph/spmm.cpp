@@ -233,9 +233,25 @@ void spmm_host_blocked_tiled(const NormalizedAdjacency& a,
 
 }  // namespace detail
 
+namespace {
+
+void spmm_host(const NormalizedAdjacency& a, const tensor::Tensor& x,
+               tensor::Tensor& y) {
+  if (tensor::ops::host_backend() == tensor::ops::HostBackend::kNaive)
+    detail::spmm_host_reference(a, x, y);
+  else
+    detail::spmm_host_blocked(a, x, y);
+}
+
+}  // namespace
+
 void spmm(gpu::Device* dev, const NormalizedAdjacency& a,
           const tensor::Tensor& x, tensor::Tensor& y) {
   check_shapes(a, x, y);
+  if (dev == nullptr) {
+    spmm_host(a, x, y);
+    return;
+  }
   const std::size_t n = a.num_nodes();
   const std::size_t d = x.cols();
   const float* px = x.data();
@@ -244,31 +260,33 @@ void spmm(gpu::Device* dev, const NormalizedAdjacency& a,
   const auto* cols = a.columns.data();
   const auto* vals = a.values.data();
 
-  if (dev != nullptr) {
-    dev->launch_linear("spmm_csr", n, 128, [&](const gpu::ThreadCtx& ctx) {
-      const std::size_t r = ctx.global_x();
-      float* out = py + r * d;
-      for (std::size_t c = 0; c < d; ++c) out[c] = 0.0f;
-      for (std::size_t e = offs[r]; e < offs[r + 1]; ++e) {
-        const float w = vals[e];
-        const float* in = px + static_cast<std::size_t>(cols[e]) * d;
-        for (std::size_t c = 0; c < d; ++c) out[c] += w * in[c];
-      }
-      const double row_nnz =
-          static_cast<double>(offs[r + 1]) - static_cast<double>(offs[r]);
-      ctx.add_flops(2.0 * row_nnz * static_cast<double>(d));
-      // Gather-heavy: each nonzero pulls a full feature row.
-      ctx.add_bytes((row_nnz * static_cast<double>(d) +
-                     static_cast<double>(d)) *
-                        sizeof(float) +
-                    row_nnz * (sizeof(NodeId) + sizeof(float)));
-    });
-    return;
-  }
-  if (tensor::ops::host_backend() == tensor::ops::HostBackend::kNaive)
-    detail::spmm_host_reference(a, x, y);
-  else
-    detail::spmm_host_blocked(a, x, y);
+  // One thread per row.  Gather-heavy: each nonzero pulls a full feature
+  // row, and every row writes d outputs.
+  const gpu::Dim3 grid = gpu::linear_grid(n, 128);
+  const double nnz = static_cast<double>(offs[n] - offs[0]);
+  const double feats = static_cast<double>(d);
+  const gpu::WorkCounters cost{
+      2.0 * nnz * feats,
+      (nnz * feats + static_cast<double>(n) * feats) * sizeof(float) +
+          nnz * (sizeof(NodeId) + sizeof(float))};
+  dev->launch_modeled(
+      "spmm_csr", grid, gpu::Dim3{128}, cost, [&] { spmm_host(a, x, y); },
+      [&](const gpu::ThreadCtx& ctx) {
+        const std::size_t r = ctx.global_x();
+        if (!ctx.branch(r < n)) return;
+        float* out = py + r * d;
+        for (std::size_t c = 0; c < d; ++c) out[c] = 0.0f;
+        for (std::size_t e = offs[r]; e < offs[r + 1]; ++e) {
+          const float w = vals[e];
+          const float* in = px + static_cast<std::size_t>(cols[e]) * d;
+          for (std::size_t c = 0; c < d; ++c) out[c] += w * in[c];
+        }
+        const double row_nnz =
+            static_cast<double>(offs[r + 1]) - static_cast<double>(offs[r]);
+        ctx.add_flops(2.0 * row_nnz * feats);
+        ctx.add_bytes((row_nnz * feats + feats) * sizeof(float) +
+                      row_nnz * (sizeof(NodeId) + sizeof(float)));
+      });
 }
 
 }  // namespace sagesim::graph

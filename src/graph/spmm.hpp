@@ -10,11 +10,13 @@
 namespace sagesim::graph {
 
 /// Y = A X where A is a weighted CSR operator (e.g. the normalized
-/// adjacency) and X is num_nodes x d.  Runs as a simulated row-parallel
-/// kernel when @p dev is non-null; on the host it dispatches on
+/// adjacency) and X is num_nodes x d.  The values come from
 /// tensor::ops::host_backend() — the cache-blocked parallel kernel by
-/// default, the serial reference row loop under kNaive.  Both host paths
-/// and the device path are bit-identical (per-row edge order is fixed).
+/// default, the serial reference row loop under kNaive.  With a non-null
+/// @p dev the call is also a simulated row-parallel launch priced from
+/// closed-form counts (2·nnz·d flops); under warp fidelity its per-row
+/// thread body computes the values instead.  All paths are bit-identical
+/// (per-row edge order is fixed).
 /// Shapes validated: X.rows() == A.num_nodes(), Y same shape as X.
 void spmm(gpu::Device* dev, const NormalizedAdjacency& a,
           const tensor::Tensor& x, tensor::Tensor& y);

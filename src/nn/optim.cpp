@@ -5,25 +5,6 @@
 
 namespace sagesim::nn {
 
-namespace {
-
-/// Runs an optimizer update as one simulated kernel per parameter tensor.
-template <typename Fn>
-void update_kernel(gpu::Device* dev, const char* name, std::size_t n,
-                   double flops_per, Fn&& fn) {
-  if (dev != nullptr) {
-    dev->launch_linear(name, n, 256, [&](const gpu::ThreadCtx& ctx) {
-      fn(ctx.global_x());
-      ctx.add_flops(flops_per);
-      ctx.add_bytes(4.0 * sizeof(float));
-    });
-  } else {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-  }
-}
-
-}  // namespace
-
 Sgd::Sgd(float lr, float momentum, float weight_decay)
     : lr_(lr), momentum_(momentum), weight_decay_(weight_decay) {
   if (lr <= 0.0f) throw std::invalid_argument("Sgd: lr must be > 0");
@@ -47,16 +28,16 @@ void Sgd::step(gpu::Device* dev, std::span<Param* const> params) {
     if (momentum_ > 0.0f) {
       float* vel = velocity_[pi].data();
       const float lr = lr_, mu = momentum_, wd = weight_decay_;
-      update_kernel(dev, "sgd_momentum", p.size(), 4.0, [=](std::size_t i) {
-        const float grad = g[i] + wd * w[i];
-        vel[i] = mu * vel[i] + grad;
-        w[i] -= lr * vel[i];
-      });
+      gpu::elementwise(dev, "sgd_momentum", p.size(), 4.0,
+                       4.0 * sizeof(float), [=](std::size_t i) {
+                         const float grad = g[i] + wd * w[i];
+                         vel[i] = mu * vel[i] + grad;
+                         w[i] -= lr * vel[i];
+                       });
     } else {
       const float lr = lr_, wd = weight_decay_;
-      update_kernel(dev, "sgd", p.size(), 2.0, [=](std::size_t i) {
-        w[i] -= lr * (g[i] + wd * w[i]);
-      });
+      gpu::elementwise(dev, "sgd", p.size(), 2.0, 4.0 * sizeof(float),
+                       [=](std::size_t i) { w[i] -= lr * (g[i] + wd * w[i]); });
     }
   }
 }
@@ -91,14 +72,15 @@ void Adam::step(gpu::Device* dev, std::span<Param* const> params) {
     float* v = v_[pi].data();
     const float lr = lr_, b1 = beta1_, b2 = beta2_, eps = eps_,
                 wd = weight_decay_;
-    update_kernel(dev, "adam", p.size(), 10.0, [=](std::size_t i) {
-      const float grad = g[i] + wd * w[i];
-      m[i] = b1 * m[i] + (1.0f - b1) * grad;
-      v[i] = b2 * v[i] + (1.0f - b2) * grad * grad;
-      const float mhat = m[i] / bc1;
-      const float vhat = v[i] / bc2;
-      w[i] -= lr * mhat / (std::sqrt(vhat) + eps);
-    });
+    gpu::elementwise(dev, "adam", p.size(), 10.0, 4.0 * sizeof(float),
+                     [=](std::size_t i) {
+                       const float grad = g[i] + wd * w[i];
+                       m[i] = b1 * m[i] + (1.0f - b1) * grad;
+                       v[i] = b2 * v[i] + (1.0f - b2) * grad * grad;
+                       const float mhat = m[i] / bc1;
+                       const float vhat = v[i] / bc2;
+                       w[i] -= lr * mhat / (std::sqrt(vhat) + eps);
+                     });
   }
 }
 

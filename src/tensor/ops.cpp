@@ -10,21 +10,6 @@ namespace sagesim::tensor::ops {
 
 namespace {
 
-/// Launches a 1-D elementwise kernel or runs the host loop.
-template <typename Fn>
-void elementwise(gpu::Device* dev, const char* name, std::size_t n,
-                 double flops_per_elem, double bytes_per_elem, Fn&& fn) {
-  if (dev != nullptr) {
-    dev->launch_linear(name, n, 256, [&](const gpu::ThreadCtx& ctx) {
-      fn(ctx.global_x());
-      ctx.add_flops(flops_per_elem);
-      ctx.add_bytes(bytes_per_elem);
-    });
-  } else {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-  }
-}
-
 struct GemmDims {
   std::size_t m, n, k;
 };
@@ -74,46 +59,54 @@ void gemm_host(const detail::GemmSpec& s) {
     detail::gemm_host_blocked(s);
 }
 
-/// Simulated-device launch of a per-output-cell GEMM kernel with the
-/// epilogue fused into the same thread; @p extra_flops / @p extra_bytes
-/// model the epilogue's cost on top of the naive 2k flops per cell.
+/// Simulated-device GEMM: one thread per output cell with the epilogue
+/// fused into the same thread; @p extra_flops / @p extra_bytes model the
+/// epilogue's cost on top of the naive 2k flops per cell.  Analytic launches
+/// compute with gemm_host; the per-thread body runs under warp fidelity.
 void gemm_device(gpu::Device& dev, const char* name,
                  const detail::GemmSpec& s, double extra_flops,
                  double extra_bytes) {
   const gpu::Dim3 block{16, 16};
   const gpu::Dim3 grid{gpu::div_up(s.n, 16), gpu::div_up(s.m, 16)};
-  dev.launch(name, grid, block, [&](const gpu::ThreadCtx& ctx) {
-    const std::size_t j = ctx.global_x();
-    const std::size_t i = ctx.global_y();
-    if (i >= s.m || j >= s.n) return;
-    float acc = 0.0f;
-    for (std::size_t p = 0; p < s.k; ++p) {
-      const float av = s.ta ? s.a[p * s.lda + i] : s.a[i * s.lda + p];
-      const float bv = s.tb ? s.b[j * s.ldb + p] : s.b[p * s.ldb + j];
-      acc += av * bv;
-    }
-    float r = s.alpha * acc;
-    float* c = s.c + i * s.n + j;
-    if (s.accumulate) r = *c + r;
-    switch (s.epilogue) {
-      case detail::Epilogue::kNone:
-        *c = r;
-        break;
-      case detail::Epilogue::kBias:
-        *c = r + s.bias[j];
-        break;
-      case detail::Epilogue::kBiasRelu: {
-        const float pre = r + s.bias[j];
-        if (s.pre != nullptr) s.pre[i * s.n + j] = pre;
-        *c = pre > 0.0f ? pre : 0.0f;
-        break;
-      }
-    }
-    // Naive kernel: every operand element is fetched from global memory.
-    ctx.add_flops(2.0 * static_cast<double>(s.k) + extra_flops);
-    ctx.add_bytes(static_cast<double>(2 * s.k + 1) * sizeof(float) +
-                  extra_bytes);
-  });
+  // Naive kernel: every operand element is fetched from global memory.
+  const double flops_per_cell = 2.0 * static_cast<double>(s.k) + extra_flops;
+  const double bytes_per_cell =
+      static_cast<double>(2 * s.k + 1) * sizeof(float) + extra_bytes;
+  const double cells = static_cast<double>(s.m) * static_cast<double>(s.n);
+  dev.launch_modeled(
+      name, grid, block,
+      gpu::WorkCounters{cells * flops_per_cell, cells * bytes_per_cell},
+      [&] { gemm_host(s); },
+      [&](const gpu::ThreadCtx& ctx) {
+        const std::size_t j = ctx.global_x();
+        const std::size_t i = ctx.global_y();
+        if (i >= s.m || j >= s.n) return;
+        float acc = 0.0f;
+        for (std::size_t p = 0; p < s.k; ++p) {
+          const float av = s.ta ? s.a[p * s.lda + i] : s.a[i * s.lda + p];
+          const float bv = s.tb ? s.b[j * s.ldb + p] : s.b[p * s.ldb + j];
+          acc += av * bv;
+        }
+        float r = s.alpha * acc;
+        float* c = s.c + i * s.n + j;
+        if (s.accumulate) r = *c + r;
+        switch (s.epilogue) {
+          case detail::Epilogue::kNone:
+            *c = r;
+            break;
+          case detail::Epilogue::kBias:
+            *c = r + s.bias[j];
+            break;
+          case detail::Epilogue::kBiasRelu: {
+            const float pre = r + s.bias[j];
+            if (s.pre != nullptr) s.pre[i * s.n + j] = pre;
+            *c = pre > 0.0f ? pre : 0.0f;
+            break;
+          }
+        }
+        ctx.add_flops(flops_per_cell);
+        ctx.add_bytes(bytes_per_cell);
+      });
 }
 
 void check_bias(const Tensor& bias, const Tensor& out, const char* op) {
@@ -233,8 +226,8 @@ void add_bias(gpu::Device* dev, Tensor& x, const Tensor& bias) {
   const float* pb = bias.data();
   const std::size_t cols = x.cols();
   if (dev != nullptr) {
-    elementwise(dev, "add_bias", x.size(), 1.0, 3.0 * sizeof(float),
-                [=](std::size_t i) { px[i] += pb[i % cols]; });
+    gpu::elementwise(dev, "add_bias", x.size(), 1.0, 3.0 * sizeof(float),
+                     [=](std::size_t i) { px[i] += pb[i % cols]; });
     return;
   }
   // Host: row-major sweep — no per-element modulo, and the bias row stays
@@ -255,22 +248,23 @@ void bias_grad(gpu::Device* dev, const Tensor& dy, Tensor& db) {
   const std::size_t rows = dy.rows();
   const std::size_t cols = dy.cols();
   // One thread per column, striding down the rows.
-  elementwise(dev, "bias_grad", cols,
-              static_cast<double>(rows),
-              static_cast<double>(rows + 1) * sizeof(float),
-              [=](std::size_t j) {
-                double s = 0.0;
-                for (std::size_t r = 0; r < rows; ++r) s += pdy[r * cols + j];
-                pdb[j] = static_cast<float>(s);
-              });
+  gpu::elementwise(dev, "bias_grad", cols,
+                   static_cast<double>(rows),
+                   static_cast<double>(rows + 1) * sizeof(float),
+                   [=](std::size_t j) {
+                     double s = 0.0;
+                     for (std::size_t r = 0; r < rows; ++r)
+                       s += pdy[r * cols + j];
+                     pdb[j] = static_cast<float>(s);
+                   });
 }
 
 void relu(gpu::Device* dev, const Tensor& x, Tensor& out) {
   require_same_shape(x, out, "relu");
   const float* px = x.data();
   float* po = out.data();
-  elementwise(dev, "relu", x.size(), 1.0, 2.0 * sizeof(float),
-              [=](std::size_t i) { po[i] = px[i] > 0.0f ? px[i] : 0.0f; });
+  gpu::elementwise(dev, "relu", x.size(), 1.0, 2.0 * sizeof(float),
+                   [=](std::size_t i) { po[i] = px[i] > 0.0f ? px[i] : 0.0f; });
 }
 
 void relu_backward(gpu::Device* dev, const Tensor& x_pre, const Tensor& dy,
@@ -280,10 +274,10 @@ void relu_backward(gpu::Device* dev, const Tensor& x_pre, const Tensor& dy,
   const float* px = x_pre.data();
   const float* pdy = dy.data();
   float* pdx = dx.data();
-  elementwise(dev, "relu_backward", dx.size(), 1.0, 3.0 * sizeof(float),
-              [=](std::size_t i) {
-                pdx[i] = px[i] > 0.0f ? pdy[i] : 0.0f;
-              });
+  gpu::elementwise(dev, "relu_backward", dx.size(), 1.0, 3.0 * sizeof(float),
+                   [=](std::size_t i) {
+                     pdx[i] = px[i] > 0.0f ? pdy[i] : 0.0f;
+                   });
 }
 
 void softmax_rows(gpu::Device* dev, const Tensor& x, Tensor& out) {
@@ -292,22 +286,23 @@ void softmax_rows(gpu::Device* dev, const Tensor& x, Tensor& out) {
   float* po = out.data();
   const std::size_t cols = x.cols();
   // One thread per row.
-  elementwise(dev, "softmax_rows", x.rows(),
-              4.0 * static_cast<double>(cols),
-              2.0 * static_cast<double>(cols) * sizeof(float),
-              [=](std::size_t r) {
-                const float* in = px + r * cols;
-                float* o = po + r * cols;
-                float mx = in[0];
-                for (std::size_t c = 1; c < cols; ++c) mx = std::max(mx, in[c]);
-                double denom = 0.0;
-                for (std::size_t c = 0; c < cols; ++c) {
-                  o[c] = std::exp(in[c] - mx);
-                  denom += o[c];
-                }
-                const float inv = static_cast<float>(1.0 / denom);
-                for (std::size_t c = 0; c < cols; ++c) o[c] *= inv;
-              });
+  gpu::elementwise(dev, "softmax_rows", x.rows(),
+                   4.0 * static_cast<double>(cols),
+                   2.0 * static_cast<double>(cols) * sizeof(float),
+                   [=](std::size_t r) {
+                     const float* in = px + r * cols;
+                     float* o = po + r * cols;
+                     float mx = in[0];
+                     for (std::size_t c = 1; c < cols; ++c)
+                       mx = std::max(mx, in[c]);
+                     double denom = 0.0;
+                     for (std::size_t c = 0; c < cols; ++c) {
+                       o[c] = std::exp(in[c] - mx);
+                       denom += o[c];
+                     }
+                     const float inv = static_cast<float>(1.0 / denom);
+                     for (std::size_t c = 0; c < cols; ++c) o[c] *= inv;
+                   });
 }
 
 void add(gpu::Device* dev, const Tensor& a, const Tensor& b, Tensor& out) {
@@ -316,8 +311,8 @@ void add(gpu::Device* dev, const Tensor& a, const Tensor& b, Tensor& out) {
   const float* pa = a.data();
   const float* pb = b.data();
   float* po = out.data();
-  elementwise(dev, "add", a.size(), 1.0, 3.0 * sizeof(float),
-              [=](std::size_t i) { po[i] = pa[i] + pb[i]; });
+  gpu::elementwise(dev, "add", a.size(), 1.0, 3.0 * sizeof(float),
+                   [=](std::size_t i) { po[i] = pa[i] + pb[i]; });
 }
 
 void sub(gpu::Device* dev, const Tensor& a, const Tensor& b, Tensor& out) {
@@ -326,8 +321,8 @@ void sub(gpu::Device* dev, const Tensor& a, const Tensor& b, Tensor& out) {
   const float* pa = a.data();
   const float* pb = b.data();
   float* po = out.data();
-  elementwise(dev, "sub", a.size(), 1.0, 3.0 * sizeof(float),
-              [=](std::size_t i) { po[i] = pa[i] - pb[i]; });
+  gpu::elementwise(dev, "sub", a.size(), 1.0, 3.0 * sizeof(float),
+                   [=](std::size_t i) { po[i] = pa[i] - pb[i]; });
 }
 
 void hadamard(gpu::Device* dev, const Tensor& a, const Tensor& b,
@@ -337,22 +332,22 @@ void hadamard(gpu::Device* dev, const Tensor& a, const Tensor& b,
   const float* pa = a.data();
   const float* pb = b.data();
   float* po = out.data();
-  elementwise(dev, "hadamard", a.size(), 1.0, 3.0 * sizeof(float),
-              [=](std::size_t i) { po[i] = pa[i] * pb[i]; });
+  gpu::elementwise(dev, "hadamard", a.size(), 1.0, 3.0 * sizeof(float),
+                   [=](std::size_t i) { po[i] = pa[i] * pb[i]; });
 }
 
 void scale(gpu::Device* dev, Tensor& x, float alpha) {
   float* px = x.data();
-  elementwise(dev, "scale", x.size(), 1.0, 2.0 * sizeof(float),
-              [=](std::size_t i) { px[i] *= alpha; });
+  gpu::elementwise(dev, "scale", x.size(), 1.0, 2.0 * sizeof(float),
+                   [=](std::size_t i) { px[i] *= alpha; });
 }
 
 void axpy(gpu::Device* dev, float alpha, const Tensor& x, Tensor& y) {
   require_same_shape(x, y, "axpy");
   const float* px = x.data();
   float* py = y.data();
-  elementwise(dev, "axpy", x.size(), 2.0, 3.0 * sizeof(float),
-              [=](std::size_t i) { py[i] += alpha * px[i]; });
+  gpu::elementwise(dev, "axpy", x.size(), 2.0, 3.0 * sizeof(float),
+                   [=](std::size_t i) { py[i] += alpha * px[i]; });
 }
 
 void dropout(gpu::Device* dev, const Tensor& x, Tensor& out, Tensor& mask,
@@ -369,8 +364,8 @@ void dropout(gpu::Device* dev, const Tensor& x, Tensor& out, Tensor& mask,
   const float* px = x.data();
   const float* pm = mask.data();
   float* po = out.data();
-  elementwise(dev, "dropout", x.size(), 2.0, 3.0 * sizeof(float),
-              [=](std::size_t i) { po[i] = px[i] * pm[i] * keep_inv; });
+  gpu::elementwise(dev, "dropout", x.size(), 2.0, 3.0 * sizeof(float),
+                   [=](std::size_t i) { po[i] = px[i] * pm[i] * keep_inv; });
 }
 
 void transpose(gpu::Device* dev, const Tensor& x, Tensor& out) {

@@ -2,8 +2,10 @@
 // streams, transfers, multi-GPU peer copies.
 #include <gtest/gtest.h>
 
+#include <any>
 #include <atomic>
 #include <numeric>
+#include <thread>
 
 #include "gpusim/device_manager.hpp"
 #include "gpusim/occupancy.hpp"
@@ -422,20 +424,33 @@ TEST(Executor, PropagatesExceptions) {
 }
 
 TEST(Executor, AbortsRemainingChunksAfterError) {
+  // Contract: no chunk claimed after the abort is published invokes fn.
+  // Both pool workers are parked first, so the calling thread claims every
+  // chunk in order: chunk 0 throws at i == 0 and publishes the abort, and
+  // each later chunk is claimed after it — none of them may run.
   gpu::Executor exec(2);
-  // i == 0 lives in the first claimed chunk and throws immediately.  With
-  // abort-on-error only chunks already mid-body keep running; the rest are
-  // drained without invoking fn, so far fewer than half the indices run.
-  std::atomic<std::uint64_t> ran{0};
-  const std::uint64_t n = 10000;
-  EXPECT_THROW(exec.parallel_for(n,
+  std::atomic<int> parked{0};
+  std::atomic<bool> release{false};
+  for (int w = 0; w < 2; ++w)
+    exec.scheduler().submit_any({}, [&]() -> std::any {
+      parked.fetch_add(1);
+      while (!release.load()) std::this_thread::yield();
+      return {};
+    });
+  while (parked.load() < 2) std::this_thread::yield();
+
+  std::atomic<std::uint64_t> calls{0};
+  EXPECT_THROW(exec.parallel_for(10000,
                                  [&](std::uint64_t i) {
+                                   calls.fetch_add(1);
                                    if (i == 0)
                                      throw std::runtime_error("poison");
-                                   ran.fetch_add(1);
                                  }),
                std::runtime_error);
-  EXPECT_LT(ran.load(), n / 2);
+  release.store(true);
+  // The helper task queued behind the parked workers finds nothing left.
+  exec.scheduler().wait_idle();
+  EXPECT_EQ(calls.load(), 1u);
 }
 
 TEST(Executor, HandlesZeroAndOne) {

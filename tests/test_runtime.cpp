@@ -356,8 +356,9 @@ namespace {
 
 // Many small tasks with random-ish cross-lane and stealable dependencies;
 // returns a checksum that must be identical run to run because the value
-// of each task depends only on its dependencies' values.
-long churn_once(unsigned seed) {
+// of each task depends only on its dependencies' values.  The checksum is
+// unsigned so its wraparound is defined.
+std::uint64_t churn_once(unsigned seed) {
   rt::Scheduler sched(4);
   std::vector<rt::Future<long>> tasks;
   unsigned state = seed;
@@ -387,8 +388,9 @@ long churn_once(unsigned seed) {
         },
         std::move(deps), lane));
   }
-  long checksum = 0;
-  for (auto& t : tasks) checksum = checksum * 31 + t.get();
+  std::uint64_t checksum = 0;
+  for (auto& t : tasks)
+    checksum = checksum * 31 + static_cast<std::uint64_t>(t.get());
   sched.wait_idle();
   return checksum;
 }
@@ -396,8 +398,8 @@ long churn_once(unsigned seed) {
 }  // namespace
 
 TEST(Runtime, ChurnIsDeterministicAcrossRuns) {
-  const long first = churn_once(1234);
-  const long second = churn_once(1234);
+  const std::uint64_t first = churn_once(1234);
+  const std::uint64_t second = churn_once(1234);
   EXPECT_EQ(first, second);
   EXPECT_NE(first, churn_once(99));
 }
