@@ -50,11 +50,12 @@ cmake -B build-asan -S . -DSAGESIM_SANITIZE=address \
 cmake --build build-asan -j "$JOBS"
 ctest --test-dir build-asan --output-on-failure -L asan
 
-step "tsan: build + tsan.* suite"
+step "tsan: build + tsan.* suite, 5 runs each"
+# A race shows up on some interleavings only, so every suite runs 5 times.
 cmake -B build-tsan -S . -DSAGESIM_SANITIZE=thread \
   -DSAGESIM_BUILD_BENCH=OFF -DSAGESIM_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build build-tsan -j "$JOBS"
-ctest --test-dir build-tsan --output-on-failure -L tsan
+ctest --test-dir build-tsan --output-on-failure -L tsan --repeat until-fail:5
 
 step "ubsan: build + ubsan.* suite"
 cmake -B build-ubsan -S . -DSAGESIM_SANITIZE=undefined \

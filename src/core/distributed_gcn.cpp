@@ -1,16 +1,13 @@
 #include "core/distributed_gcn.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
 
-#include "ddp/grad_sync.hpp"
-#include "nn/checkpoint.hpp"
+#include "core/replica_set.hpp"
 #include "nn/loss.hpp"
 #include "nn/metrics.hpp"
-#include "nn/optim.hpp"
 #include "prof/report.hpp"
 
 namespace sagesim::core {
@@ -123,434 +120,132 @@ Expected<DistributedGcnResult> try_train_distributed_gcn(
   if (config.epochs < 1)
     throw std::invalid_argument("train_distributed_gcn: epochs must be >= 1");
   const GcnFaultOptions& ft = config.fault;
-  if (ft.enabled) {
-    if (ft.checkpoint_dir.empty())
-      throw std::invalid_argument(
-          "train_distributed_gcn: fault tolerance needs a checkpoint_dir");
-    if (ft.checkpoint_every < 1)
-      throw std::invalid_argument(
-          "train_distributed_gcn: checkpoint_every must be >= 1");
-    if (ft.max_chunk_attempts < 1)
-      throw std::invalid_argument(
-          "train_distributed_gcn: max_chunk_attempts must be >= 1");
-  }
+  validate_fault_options(ft, "train_distributed_gcn");
 
   auto& devices = cluster.devices();
   const double sim_t0 = devices.now_s();
 
   // --- Algorithm 1, lines 2-3: Â and the k-way partition. ------------------
-  graph::Partition part = build_partition(dataset, config, k);
-
   DistributedGcnResult result;
-  result.partition = graph::evaluate_partition(dataset.graph, part);
+  std::vector<Shard> shards;
+  auto reshard = [&](int parts) {
+    const graph::Partition part = build_partition(dataset, config, parts);
+    result.partition = graph::evaluate_partition(dataset.graph, part);
+    // --- Lines 5-6: build and distribute shards. ---------------------------
+    shards = build_shards(dataset, part, parts, result.cut_edges_dropped);
+    std::vector<const graph::NormalizedAdjacency*> adjacency;
+    for (const Shard& shard : shards) adjacency.push_back(&shard.adj);
+    return adjacency;
+  };
+  const auto adjacency = reshard(k);
 
-  // --- Lines 5-6: build and distribute shards. -----------------------------
-  std::vector<Shard> shards =
-      build_shards(dataset, part, k, result.cut_edges_dropped);
+  // --- Lines 9-14: synchronized epochs, one step each. ---------------------
+  GcnReplicaSet::Hooks hooks;
+  hooks.step = [&](const GcnReplicaSet::RankStep& rs) -> double {
+    const Shard& shard = shards[static_cast<std::size_t>(rs.rank)];
+    rs.model.zero_grad();
+    tensor::Tensor logits =
+        rs.model.forward(rs.device, shard.features, /*train=*/true);
+    auto loss = nn::masked_softmax_cross_entropy(
+        rs.device, logits, shard.labels, shard.train_rows);
+    rs.backward(loss.dlogits);
+    return loss.loss;
+  };
+  // Line 4, "Distribute Gi, Xi, Yi to worker i": accounted H2D of each
+  // shard to its rank's device.  Kernels compute the same bits at either
+  // placement, so this changes the (pinned) transfer ledger and nothing else.
+  hooks.place_data = [&](int r, gpu::Device& dev) -> Status {
+    Shard& shard = shards[static_cast<std::size_t>(r)];
+    if (const Status s = shard.features.to_device(dev); !s.ok()) return s;
+    return shard.adj.to_device(dev);
+  };
+  // Dask control plane: dispatch of each epoch's tasks is serialized on the
+  // scheduler — the overhead that erases most of the wall-clock win for
+  // course-scale graphs.  Re-run chunks pay it again, which is exactly the
+  // recovery overhead the preemption bench measures.
+  double scheduler_s = 0.0;
+  hooks.before_chunk = [&](std::size_t s0, std::size_t s1,
+                           const std::vector<int>&) {
+    for (std::size_t e = s0; e < s1; ++e)
+      scheduler_s += 2.0 * static_cast<double>(shards.size()) *
+                     config.scheduler_overhead_s;
+  };
 
   // --- Lines 7-8: global model, broadcast θ. -------------------------------
-  // Replicas share the init seed, so their parameters start identical (the
-  // broadcast); the wire cost of the broadcast is charged explicitly.
-  nn::Gcn::Config model_cfg;
-  model_cfg.in_features = dataset.features.cols();
-  model_cfg.hidden = config.hidden;
-  model_cfg.num_classes = static_cast<std::size_t>(dataset.num_classes);
-  model_cfg.dropout = config.dropout;
-  model_cfg.seed = config.seed;
+  GcnReplicaSet set(
+      cluster,
+      {.model = {.in_features = dataset.features.cols(),
+                 .hidden = config.hidden,
+                 .num_classes = static_cast<std::size_t>(dataset.num_classes),
+                 .dropout = config.dropout,
+                 .seed = config.seed},
+       .learning_rate = config.learning_rate,
+       .ddp_bucket_bytes = config.ddp_bucket_bytes,
+       .ddp_overlap = config.ddp_overlap,
+       .compute_task = "gcn_epoch",
+       .allreduce_task = "grad_allreduce",
+       .update_task = "sgd_step",
+       .who = "train_distributed_gcn"},
+      std::move(hooks));
+  set.build(adjacency);
+  if (const Status s = set.place(); !s.ok()) return s;
 
-  std::vector<std::unique_ptr<nn::Gcn>> replicas;
-  std::vector<std::unique_ptr<nn::Sgd>> optimizers;
-  std::unique_ptr<ddp::GradientSynchronizer> sync;
-  // Partition p trains on cluster rank rank_of_part[p]; the identity map
-  // until preemption forces a remap onto surviving ranks.
-  std::vector<int> rank_of_part;
-
-  auto build_replicas = [&]() {
-    const int kw = static_cast<int>(shards.size());
-    replicas.clear();
-    optimizers.clear();
-    sync.reset();
-    for (int r = 0; r < kw; ++r) {
-      replicas.push_back(std::make_unique<nn::Gcn>(
-          &shards[static_cast<std::size_t>(r)].adj, model_cfg));
-      optimizers.push_back(
-          std::make_unique<nn::Sgd>(config.learning_rate, 0.9f));
-    }
-    if (kw > 1) {
-      std::vector<std::vector<nn::Param*>> param_sets;
-      param_sets.reserve(replicas.size());
-      for (auto& r : replicas) param_sets.push_back(r->params());
-      ddp::broadcast_params(devices, param_sets);
-      sync = std::make_unique<ddp::GradientSynchronizer>(
-          devices, param_sets,
-          ddp::SyncOptions{.bucket_bytes = config.ddp_bucket_bytes,
-                           .overlap = config.ddp_overlap});
-    }
-  };
-  build_replicas();
-  rank_of_part.resize(static_cast<std::size_t>(k));
-  for (int r = 0; r < k; ++r) rank_of_part[static_cast<std::size_t>(r)] = r;
-
-  // Line 4, "Distribute Gi, Xi, Yi to worker i", as explicit placement:
-  // every shard's features and adjacency plus its replica's parameters and
-  // gradients move to the owning rank's device through accounted H2D
-  // transfers.  Kernels compute the same bits at either placement (device
-  // storage is host-reachable), so this changes the transfer ledger — a
-  // pinned, testable quantity — and nothing else.  Idempotent: tensors
-  // already on the right device are left alone, so re-running after a remap
-  // or restore only uploads what actually moved.
-  auto place_all = [&]() -> Status {
-    for (std::size_t p = 0; p < shards.size(); ++p) {
-      auto& dev = devices.device(
-          static_cast<std::size_t>(rank_of_part[p]));
-      Status s = shards[p].features.to_device(dev);
-      if (!s.ok()) return s;
-      s = shards[p].adj.to_device(dev);
-      if (!s.ok()) return s;
-      for (nn::Param* prm : replicas[p]->params()) {
-        s = prm->value.to_device(dev);
-        if (!s.ok()) return s;
-        s = prm->grad.to_device(dev);
-        if (!s.ok()) return s;
-      }
-    }
-    return {};
-  };
-  if (const Status s = place_all(); !s.ok()) return s;
-
-  // --- Lines 9-14: synchronized epochs, expressed as task DAGs. ------------
-  // Per epoch and rank r:  loss[e][r] -> allreduce[e] -> step[e][r], and
-  // loss[e+1][r] depends on step[e][r].  Loss/step tasks are pinned to their
-  // rank (device affinity); the gradient all-reduce is unpinned and runs on
-  // whichever worker frees up first.
-  double scheduler_s = 0.0;
-  auto submit_epoch =
-      [&](std::vector<dflow::Future>& prev) -> std::vector<dflow::Future> {
-    const int kw = static_cast<int>(shards.size());
-    std::vector<dflow::Future> losses;
-    losses.reserve(static_cast<std::size_t>(kw));
-    for (int r = 0; r < kw; ++r) {
-      losses.push_back(cluster.submit(
-          "gcn_epoch",
-          [&, r](dflow::WorkerCtx& ctx) -> std::any {
-            auto& shard = shards[static_cast<std::size_t>(r)];
-            auto& model = *replicas[static_cast<std::size_t>(r)];
-            model.zero_grad();
-            tensor::Tensor logits =
-                model.forward(ctx.device, shard.features, /*train=*/true);
-            auto loss = nn::masked_softmax_cross_entropy(
-                ctx.device, logits, shard.labels, shard.train_rows);
-            if (sync) {
-              // DDP-style backward hook: buckets fire on the comm streams
-              // while the rest of backward still runs.
-              model.backward(ctx.device, loss.dlogits, [&](nn::Param* p) {
-                sync->notify_grad_ready(static_cast<std::size_t>(r), p);
-              });
-            } else {
-              model.backward(ctx.device, loss.dlogits);
-            }
-            return loss.loss;
-          },
-          {prev[static_cast<std::size_t>(r)]},
-          rank_of_part[static_cast<std::size_t>(r)]));
-    }
-
-    dflow::Future reduced = cluster.submit(
-        "grad_allreduce",
-        [&](dflow::WorkerCtx&) -> std::any {
-          if (sync) sync->sync();
-          return {};
-        },
-        losses, /*rank=*/-1);
-
-    for (int r = 0; r < kw; ++r) {
-      prev[static_cast<std::size_t>(r)] = cluster.submit(
-          "sgd_step",
-          [&, r](dflow::WorkerCtx& ctx) -> std::any {
-            auto params = replicas[static_cast<std::size_t>(r)]->params();
-            optimizers[static_cast<std::size_t>(r)]->step(ctx.device, params);
-            return {};
-          },
-          {reduced}, rank_of_part[static_cast<std::size_t>(r)]);
-    }
-
-    // Dask control plane: dispatch of the epoch's 2k+1 tasks is serialized
-    // on the scheduler — the overhead that erases most of the wall-clock
-    // win for course-scale graphs.  Re-run chunks pay it again, which is
-    // exactly the recovery overhead the preemption bench measures.
-    scheduler_s += 2.0 * static_cast<double>(kw) * config.scheduler_overhead_s;
-    return losses;
-  };
-
-  // Submits epochs [begin_e, end_e), waits out the whole sub-DAG, and folds
-  // the per-epoch mean losses into the result.  Any task failure (injected
-  // preemption, reclaimed rank, real exception) surfaces as the Status of
-  // the first failed step; nothing is appended to epoch_losses in that case
-  // and — because every future has been waited — no in-flight task still
-  // references the shard/replica state the caller may now rebuild.
-  auto run_chunk = [&](int begin_e, int end_e) -> Status {
-    // Quiescent on entry (any prior chunk's futures were waited out): drop
-    // readiness state an aborted attempt may have left behind, so a re-run
-    // never mixes stale notifications with fresh ones.
-    if (sync) sync->reset_pending();
-    const int kw = static_cast<int>(shards.size());
-    std::vector<dflow::Future> prev(static_cast<std::size_t>(kw));
-    for (auto& f : prev) f = dflow::Future::immediate({});
-    std::vector<std::vector<dflow::Future>> chunk_losses;
-    chunk_losses.reserve(static_cast<std::size_t>(end_e - begin_e));
-    for (int e = begin_e; e < end_e; ++e)
-      chunk_losses.push_back(submit_epoch(prev));
-
-    Status first{};
-    for (auto& f : prev) {
-      const Status s = f.wait_status();
-      if (!s.ok() && first.ok()) first = s;
-    }
-    if (!first.ok()) return first;
-
-    for (const auto& losses : chunk_losses) {
-      double epoch_loss = 0.0;
-      for (const auto& f : losses) {
-        Expected<double> v = f.result<double>();
-        if (!v) return v.status();
-        epoch_loss += *v;
-      }
-      result.epoch_losses.push_back(epoch_loss / static_cast<double>(kw));
-    }
-    return {};
-  };
-
-  auto finish = [&]() -> DistributedGcnResult {
-    prof::TraceEvent sched;
-    sched.name = "dask_scheduler";
-    sched.kind = prof::EventKind::kScheduler;
-    sched.start_s = sim_t0;
-    sched.duration_s = scheduler_s;
-    devices.timeline().record(std::move(sched));
-
-    result.train_sim_seconds = (devices.now_s() - sim_t0) + scheduler_s;
-
-    // The trained model leaves the cluster: replica 0's parameters come
-    // back to the host (accounted D2H) before evaluation consumes them.
-    for (nn::Param* prm : replicas[0]->params())
-      prm->value.to_host().throw_if_error();
-
-    // Evaluation: full-graph forward with replica 0's weights.
-    const graph::NormalizedAdjacency full_adj =
-        graph::normalized_adjacency(dataset.graph);
-    replicas[0]->set_adjacency(&full_adj);
-    const tensor::Tensor logits = replicas[0]->forward(
-        &devices.device(0), dataset.features, /*train=*/false);
-    result.test_accuracy =
-        nn::masked_accuracy(logits, dataset.labels, dataset.test_nodes);
-    replicas[0]->set_adjacency(&shards[0].adj);
-
-    for (const int rank : rank_of_part)
-      result.gpu_utilization.push_back(
-          prof::kernel_utilization(devices.timeline(), rank));
-    result.final_world = static_cast<int>(shards.size());
-    return result;
-  };
-
-  if (!ft.enabled) {
-    // Fast path: the whole training run is one DAG, submitted up front and
-    // synchronized once at the end — dependency edges replace the per-epoch
-    // host barriers.
-    const Status s = run_chunk(0, config.epochs);
-    if (!s.ok()) return s;
-    return finish();
-  }
-
-  // --- Fault-tolerant path: chunked epochs with checkpoint/restart. --------
-  // Parameters and optimizer velocity are identical across replicas after
-  // every synchronized step (averaged gradients are the only update), so
-  // the checkpoint stores replica 0's copy once; the dropout RNG streams
-  // are genuinely per-replica and are stored per rank — restoring them is
-  // what makes a re-run of a chunk bit-identical to a run that was never
-  // preempted.
-  auto save_ckpt = [&](std::uint64_t epoch) -> Status {
-    nn::Checkpoint ckpt;
-    ckpt.epoch = epoch;
-    ckpt.scalars["k"] = static_cast<double>(shards.size());
-    const auto params0 = replicas[0]->params();
-    for (std::size_t p = 0; p < params0.size(); ++p)
-      ckpt.put("param" + std::to_string(p), params0[p]->value);
-    const auto opt_state = optimizers[0]->state();
-    for (std::size_t s = 0; s < opt_state.size(); ++s)
-      ckpt.put("opt" + std::to_string(s), opt_state[s]);
-    ckpt.scalars["opt_n"] = static_cast<double>(opt_state.size());
-    ckpt.scalars["opt_t"] =
-        static_cast<double>(optimizers[0]->step_count());
-    for (std::size_t e = 0; e < result.epoch_losses.size(); ++e)
-      ckpt.scalars["loss." + std::to_string(e)] = result.epoch_losses[e];
-    for (std::size_t r = 0; r < replicas.size(); ++r)
-      ckpt.blobs["rng" + std::to_string(r)] =
-          nn::serialize_engine(replicas[r]->rng().engine());
-    const Status s = nn::save_checkpoint(
-        nn::checkpoint_path(ft.checkpoint_dir, ft.checkpoint_prefix, epoch),
-        ckpt);
-    if (s.ok()) ++result.checkpoints_written;
-    return s;
-  };
-
-  auto restore_ckpt = [&](const nn::Checkpoint& ckpt,
-                          bool restore_rng) -> Status {
-    for (auto& replica : replicas) {
-      auto params = replica->params();
-      for (std::size_t p = 0; p < params.size(); ++p) {
-        const auto it = ckpt.tensors.find("param" + std::to_string(p));
-        if (it == ckpt.tensors.end() ||
-            !it->second.same_shape(params[p]->value))
-          return Status::failed_precondition(
-              "train_distributed_gcn: checkpoint parameter mismatch");
-        params[p]->value = it->second;
-      }
-    }
-    const auto n_it = ckpt.scalars.find("opt_n");
-    const std::size_t opt_n =
-        n_it == ckpt.scalars.end() ? 0
-                                   : static_cast<std::size_t>(n_it->second);
-    std::vector<tensor::Tensor> opt_state;
-    opt_state.reserve(opt_n);
-    for (std::size_t s = 0; s < opt_n; ++s) {
-      const auto it = ckpt.tensors.find("opt" + std::to_string(s));
-      if (it == ckpt.tensors.end())
+  // Elastic shrink: with too few surviving ranks, re-partition METIS
+  // across what is left and continue with a smaller world.
+  GcnReplicaSet::ShrinkFn shrink;
+  if (ft.allow_shrink)
+    shrink = [&](int parts)
+        -> Expected<std::vector<const graph::NormalizedAdjacency*>> {
+      try {
+        auto shrunk = reshard(parts);
+        ++result.reshards;
+        return shrunk;
+      } catch (const std::exception& e) {
         return Status::failed_precondition(
-            "train_distributed_gcn: checkpoint optimizer state missing");
-      opt_state.push_back(it->second);
-    }
-    const auto t_it = ckpt.scalars.find("opt_t");
-    for (auto& opt : optimizers) {
-      opt->set_state(opt_state);
-      if (t_it != ckpt.scalars.end())
-        opt->set_step_count(static_cast<std::uint64_t>(t_it->second));
-    }
-    if (restore_rng) {
-      for (std::size_t r = 0; r < replicas.size(); ++r) {
-        const auto it = ckpt.blobs.find("rng" + std::to_string(r));
-        if (it == ckpt.blobs.end())
-          return Status::failed_precondition(
-              "train_distributed_gcn: checkpoint RNG stream missing");
-        const Status s =
-            nn::deserialize_engine(it->second, replicas[r]->rng().engine());
-        if (!s.ok()) return s;
+            std::string("train_distributed_gcn: re-shard failed: ") +
+            e.what());
       }
-    }
-    result.epoch_losses.clear();
-    result.epoch_losses.reserve(static_cast<std::size_t>(ckpt.epoch));
-    for (std::uint64_t e = 0; e < ckpt.epoch; ++e) {
-      const auto it = ckpt.scalars.find("loss." + std::to_string(e));
-      if (it == ckpt.scalars.end())
-        return Status::failed_precondition(
-            "train_distributed_gcn: checkpoint loss history missing");
-      result.epoch_losses.push_back(it->second);
-    }
-    return {};
-  };
+    };
+  // Without fault tolerance the whole run is one DAG, synchronized once.
+  const auto epochs = static_cast<std::size_t>(config.epochs);
+  const Status trained = ft.enabled ? set.run_checkpointed(epochs, ft, shrink)
+                                    : set.run_chunk(0, epochs);
+  if (!trained.ok()) return trained;
 
-  // Resume-on-entry: a same-k checkpoint in the directory means this call
-  // is the restarted half of a preempted run — pick up where it left off.
-  int epoch = 0;
-  if (Expected<nn::Checkpoint> latest = nn::load_latest_checkpoint(
-          ft.checkpoint_dir, ft.checkpoint_prefix)) {
-    const auto kit = latest->scalars.find("k");
-    if (kit != latest->scalars.end() &&
-        static_cast<int>(kit->second) == static_cast<int>(shards.size())) {
-      const Status rs = restore_ckpt(*latest, /*restore_rng=*/true);
-      if (!rs.ok()) return rs;
-      // Restored parameters are host tensors; put them back on-device.
-      if (const Status ps = place_all(); !ps.ok()) return ps;
-      epoch = static_cast<int>(latest->epoch);
-      ++result.checkpoints_restored;
-    }
-  }
-  if (epoch == 0) {
-    // Epoch-0 checkpoint right after init, so every recovery — including a
-    // failure in the very first chunk — restores through the same path.
-    const Status s = save_ckpt(0);
-    if (!s.ok()) return s;
-  }
+  prof::TraceEvent sched;
+  sched.name = "dask_scheduler";
+  sched.kind = prof::EventKind::kScheduler;
+  sched.start_s = sim_t0;
+  sched.duration_s = scheduler_s;
+  devices.timeline().record(std::move(sched));
 
-  while (epoch < config.epochs) {
-    Status chunk_status{};
-    bool chunk_ok = false;
-    for (int attempt = 1; attempt <= ft.max_chunk_attempts; ++attempt) {
-      const int chunk_end =
-          std::min(epoch + ft.checkpoint_every, config.epochs);
-      chunk_status = run_chunk(epoch, chunk_end);
-      if (chunk_status.ok()) {
-        epoch = chunk_end;
-        chunk_ok = true;
-        break;
-      }
-      if (!chunk_status.retryable()) return chunk_status;
-      ++result.chunk_restarts;
+  result.train_sim_seconds = (devices.now_s() - sim_t0) + scheduler_s;
+  result.epoch_losses = set.losses();
+  result.chunk_restarts = set.fault_stats().chunk_restarts;
+  result.checkpoints_written = set.fault_stats().checkpoints_written;
+  result.checkpoints_restored = set.fault_stats().checkpoints_restored;
 
-      // Elastic step: ranks reclaimed for good get their partitions moved
-      // to survivors; if there are not enough survivors, shrink the world
-      // by re-partitioning METIS across what is left (when allowed).
-      bool lost = false;
-      for (const int rank : rank_of_part)
-        if (!cluster.rank_available(rank)) lost = true;
-      if (lost) {
-        const std::vector<int> survivors = cluster.active_ranks();
-        if (survivors.empty())
-          return Status::unavailable(
-              "train_distributed_gcn: every rank is preempted");
-        const int cur_k = static_cast<int>(shards.size());
-        if (static_cast<int>(survivors.size()) >= cur_k) {
-          rank_of_part.assign(survivors.begin(), survivors.begin() + cur_k);
-        } else if (ft.allow_shrink) {
-          const int new_k = static_cast<int>(survivors.size());
-          try {
-            part = build_partition(dataset, config, new_k);
-            result.partition = graph::evaluate_partition(dataset.graph, part);
-            shards =
-                build_shards(dataset, part, new_k, result.cut_edges_dropped);
-            build_replicas();
-          } catch (const std::exception& e) {
-            return Status::failed_precondition(
-                std::string("train_distributed_gcn: re-shard failed: ") +
-                e.what());
-          }
-          rank_of_part = survivors;
-          ++result.reshards;
-        } else {
-          return Status::unavailable(
-              "train_distributed_gcn: rank lost with allow_shrink=false: " +
-              chunk_status.message());
-        }
-      }
+  // The trained model leaves the cluster: replica 0's parameters come back
+  // to the host (accounted D2H) before evaluation consumes them.
+  nn::Gcn& model = set.replica(0);
+  for (nn::Param* prm : model.params())
+    if (const Status s = prm->value.to_host(); !s.ok()) return s;
 
-      Expected<nn::Checkpoint> latest = nn::load_latest_checkpoint(
-          ft.checkpoint_dir, ft.checkpoint_prefix);
-      if (!latest) return latest.status();
-      // After a shrink the checkpoint predates the new shard layout: the
-      // parameter/optimizer tensors are shard-independent and carry over,
-      // but the per-replica RNG streams do not (fresh seeds; bit-identity
-      // is abandoned, as documented on GcnFaultOptions::allow_shrink).
-      const auto kit = latest->scalars.find("k");
-      const bool same_k =
-          kit != latest->scalars.end() &&
-          static_cast<int>(kit->second) == static_cast<int>(shards.size());
-      const Status rs = restore_ckpt(*latest, /*restore_rng=*/same_k);
-      if (!rs.ok()) return rs;
-      // Re-place after the remap/re-shard and restore: moved partitions and
-      // freshly restored (host) parameters go to their new owning devices.
-      if (const Status ps = place_all(); !ps.ok()) return ps;
-      epoch = static_cast<int>(latest->epoch);
-      ++result.checkpoints_restored;
-    }
-    if (!chunk_ok)
-      return Status::unavailable(
-          "train_distributed_gcn: chunk at epoch " + std::to_string(epoch) +
-          " failed after " + std::to_string(ft.max_chunk_attempts) +
-          " attempts: " + chunk_status.message());
-    const Status s = save_ckpt(static_cast<std::uint64_t>(epoch));
-    if (!s.ok()) return s;
-  }
+  // Evaluation: full-graph forward with replica 0's weights.
+  const graph::NormalizedAdjacency full_adj =
+      graph::normalized_adjacency(dataset.graph);
+  model.set_adjacency(&full_adj);
+  const tensor::Tensor logits =
+      model.forward(&devices.device(0), dataset.features, /*train=*/false);
+  result.test_accuracy =
+      nn::masked_accuracy(logits, dataset.labels, dataset.test_nodes);
+  model.set_adjacency(&shards[0].adj);
 
-  return finish();
+  for (const int rank : set.lanes())
+    result.gpu_utilization.push_back(
+        prof::kernel_utilization(devices.timeline(), rank));
+  result.final_world = set.size();
+  return result;
 }
 
 }  // namespace sagesim::core

@@ -6,14 +6,11 @@
 #include <string>
 #include <utility>
 
-#include "ddp/grad_sync.hpp"
+#include "core/replica_set.hpp"
 #include "graph/prefetch.hpp"
 #include "graph/sampler.hpp"
 #include "mem/pool.hpp"
-#include "nn/checkpoint.hpp"
-#include "nn/gcn.hpp"
 #include "nn/loss.hpp"
-#include "nn/optim.hpp"
 #include "prof/report.hpp"
 #include "runtime/scheduler.hpp"
 #include "tensor/ops.hpp"
@@ -40,17 +37,7 @@ Expected<SampledGcnResult> try_train_sampled_gcn(
     throw std::invalid_argument(
         "train_sampled_gcn: prefetch_depth must be >= 1");
   const GcnFaultOptions& ft = config.fault;
-  if (ft.enabled) {
-    if (ft.checkpoint_dir.empty())
-      throw std::invalid_argument(
-          "train_sampled_gcn: fault tolerance needs a checkpoint_dir");
-    if (ft.checkpoint_every < 1)
-      throw std::invalid_argument(
-          "train_sampled_gcn: checkpoint_every must be >= 1");
-    if (ft.max_chunk_attempts < 1)
-      throw std::invalid_argument(
-          "train_sampled_gcn: max_chunk_attempts must be >= 1");
-  }
+  validate_fault_options(ft, "train_sampled_gcn");
 
   auto& devices = cluster.devices();
   const double sim_t0 = devices.now_s();
@@ -83,56 +70,11 @@ Expected<SampledGcnResult> try_train_sampled_gcn(
   const std::size_t total_steps =
       static_cast<std::size_t>(config.epochs) * steps_per_epoch;
 
-  // --- Replicas, optimizers, DDP synchronizer (broadcast-equivalent init).
-  nn::Gcn::Config model_cfg;
-  model_cfg.in_features = features.dim;
-  model_cfg.hidden = config.hidden;
-  model_cfg.num_classes = static_cast<std::size_t>(features.num_classes);
-  model_cfg.dropout = config.dropout;
-  model_cfg.seed = config.seed;
-
   // Replicas need *some* operator at construction; every forward installs
   // the current mini-batch's adjacency first.
   const graph::CsrGraph placeholder_graph = graph::CsrGraph::from_edges(1, {});
   const graph::NormalizedAdjacency placeholder =
       graph::normalized_adjacency(placeholder_graph);
-
-  std::vector<std::unique_ptr<nn::Gcn>> replicas;
-  std::vector<std::unique_ptr<nn::Sgd>> optimizers;
-  for (int r = 0; r < k; ++r) {
-    replicas.push_back(std::make_unique<nn::Gcn>(&placeholder, model_cfg));
-    optimizers.push_back(std::make_unique<nn::Sgd>(config.learning_rate, 0.9f));
-  }
-  std::unique_ptr<ddp::GradientSynchronizer> sync;
-  if (k > 1) {
-    std::vector<std::vector<nn::Param*>> param_sets;
-    param_sets.reserve(replicas.size());
-    for (auto& r : replicas) param_sets.push_back(r->params());
-    ddp::broadcast_params(devices, param_sets);
-    sync = std::make_unique<ddp::GradientSynchronizer>(
-        devices, param_sets,
-        ddp::SyncOptions{.bucket_bytes = config.ddp_bucket_bytes,
-                         .overlap = config.ddp_overlap});
-  }
-
-  // Rank r trains on cluster lane rank_of_part[r]; identity until a
-  // preemption forces a remap onto survivors.
-  std::vector<int> rank_of_part(static_cast<std::size_t>(k));
-  for (int r = 0; r < k; ++r) rank_of_part[static_cast<std::size_t>(r)] = r;
-
-  auto place_params = [&]() -> Status {
-    for (std::size_t r = 0; r < replicas.size(); ++r) {
-      auto& dev = devices.device(static_cast<std::size_t>(rank_of_part[r]));
-      for (nn::Param* p : replicas[r]->params()) {
-        Status s = p->value.to_device(dev);
-        if (!s.ok()) return s;
-        s = p->grad.to_device(dev);
-        if (!s.ok()) return s;
-      }
-    }
-    return {};
-  };
-  if (const Status s = place_params(); !s.ok()) return s;
 
   // --- Samplers and prefetch pipelines. ------------------------------------
   // Per-rank seed streams are disjoint (mix64 over the rank) and the store
@@ -155,7 +97,50 @@ Expected<SampledGcnResult> try_train_sampled_gcn(
 
   std::vector<std::unique_ptr<graph::PrefetchPipeline>> pipelines(
       static_cast<std::size_t>(k));
-  auto rebuild_pipelines = [&](std::size_t start_step) {
+  std::vector<std::size_t> rank_batches(static_cast<std::size_t>(k), 0);
+  std::vector<graph::EdgeIdx> rank_edges(static_cast<std::size_t>(k), 0);
+  std::vector<std::size_t> rank_h2d(static_cast<std::size_t>(k), 0);
+
+  // --- One optimizer step: per-rank accumulate -> all-reduce -> update. ----
+  GcnReplicaSet::Hooks hooks;
+  hooks.step = [&](const GcnReplicaSet::RankStep& rs) -> double {
+    const auto ri = static_cast<std::size_t>(rs.rank);
+    rs.model.zero_grad();
+    double loss_sum = 0.0;
+    for (std::size_t a = 0; a < accum; ++a) {
+      Expected<graph::StagedBatch> next = pipelines[ri]->next();
+      next.status().throw_if_error();
+      graph::StagedBatch staged = std::move(*next);
+      // Fence: compute (stream 0) waits for this batch's staged copies on
+      // the transfer stream before touching them.
+      if (config.prefetch && staged.on_device && rs.device != nullptr)
+        rs.device->wait_event(0, staged.ready);
+      rs.model.set_adjacency(&staged.batch.adj);
+      tensor::Tensor logits = rs.model.forward(
+          rs.device, staged.batch.features, /*train=*/true);
+      auto loss = nn::masked_softmax_cross_entropy(
+          rs.device, logits, staged.batch.labels, staged.batch.seed_rows);
+      loss_sum += loss.loss;
+      if (accum > 1)
+        // Every micro-batch masks the same number of seed rows, so the
+        // accumulated gradient is the uniform mean.
+        tensor::ops::scale(rs.device, loss.dlogits,
+                           1.0f / static_cast<float>(accum));
+      // Sync hooks fire only on the final micro-batch: earlier backwards
+      // accumulate locally instead of triggering a partial all-reduce.
+      rs.backward(loss.dlogits, /*notify=*/a + 1 == accum);
+      rs.model.set_adjacency(&placeholder);
+      ++rank_batches[ri];
+      rank_edges[ri] += staged.batch.sampled_edges;
+      rank_h2d[ri] += staged.batch.h2d_bytes();
+    }
+    return loss_sum / static_cast<double>(accum);
+  };
+
+  // Every chunk, and every re-run of one, re-enters the batch schedule at
+  // its first batch: the schedule needs no checkpointed state.
+  hooks.before_chunk = [&](std::size_t s0, std::size_t,
+                           const std::vector<int>& lanes) {
     for (std::size_t r = 0; r < pipelines.size(); ++r) {
       pipelines[r].reset();  // drain any in-flight lookahead first
       const auto [begin, end] = ranges[r];
@@ -168,332 +153,95 @@ Expected<SampledGcnResult> try_train_sampled_gcn(
             return graph::schedule_seeds(begin, end, bs, rank_seed, epoch,
                                          index);
           },
-          static_cast<std::uint64_t>(config.epochs), bpe, start_step * accum,
-          &devices.device(static_cast<std::size_t>(rank_of_part[r])),
-          stage_pool,
+          static_cast<std::uint64_t>(config.epochs), bpe, s0 * accum,
+          &devices.device(static_cast<std::size_t>(lanes[r])), stage_pool,
           graph::PrefetchOptions{.depth = config.prefetch_depth,
                                  .enabled = config.prefetch});
     }
   };
 
+  // --- Replicas, optimizers, DDP synchronizer (broadcast-equivalent init).
+  GcnReplicaSet set(
+      cluster,
+      {.model = {.in_features = features.dim,
+                 .hidden = config.hidden,
+                 .num_classes = static_cast<std::size_t>(features.num_classes),
+                 .dropout = config.dropout,
+                 .seed = config.seed},
+       .learning_rate = config.learning_rate,
+       .ddp_bucket_bytes = config.ddp_bucket_bytes,
+       .ddp_overlap = config.ddp_overlap,
+       .compute_task = "sampled_gcn_step",
+       .allreduce_task = "sampled_allreduce",
+       .update_task = "sampled_optim",
+       .who = "train_sampled_gcn"},
+      std::move(hooks));
+  set.build(std::vector<const graph::NormalizedAdjacency*>(
+      static_cast<std::size_t>(k), &placeholder));
+  if (const Status s = set.place(); !s.ok()) return s;
+
+  // Node ranges are storage-free, so a remap onto survivors moves
+  // parameters only; ranges are never re-partitioned (no shrink hook).
+  const Status trained = ft.enabled
+                             ? set.run_checkpointed(total_steps, ft)
+                             : set.run_chunk(0, total_steps);
+  // Drain lookahead before reading any counter the staging tasks touch.
+  for (auto& p : pipelines) p.reset();
+  if (!trained.ok()) return trained;
+
   SampledGcnResult result;
-  std::vector<std::size_t> rank_batches(static_cast<std::size_t>(k), 0);
-  std::vector<graph::EdgeIdx> rank_edges(static_cast<std::size_t>(k), 0);
-  std::vector<std::size_t> rank_h2d(static_cast<std::size_t>(k), 0);
-
-  // --- One optimizer step: per-rank accumulate -> all-reduce -> update. ----
-  auto run_chunk = [&](std::size_t s0, std::size_t s1) -> Status {
-    if (sync) sync->reset_pending();
-    for (std::size_t s = s0; s < s1; ++s) {
-      std::vector<dflow::Future> grads;
-      grads.reserve(static_cast<std::size_t>(k));
-      for (int r = 0; r < k; ++r) {
-        grads.push_back(cluster.submit(
-            "sampled_gcn_step:" + std::to_string(r),
-            [&, r](dflow::WorkerCtx& ctx) -> std::any {
-              const auto ri = static_cast<std::size_t>(r);
-              auto& model = *replicas[ri];
-              model.zero_grad();
-              double loss_sum = 0.0;
-              for (std::size_t a = 0; a < accum; ++a) {
-                Expected<graph::StagedBatch> next = pipelines[ri]->next();
-                next.status().throw_if_error();
-                graph::StagedBatch staged = std::move(*next);
-                // Fence: compute (stream 0) waits for this batch's staged
-                // copies on the transfer stream before touching them.
-                if (config.prefetch && staged.on_device &&
-                    ctx.device != nullptr)
-                  ctx.device->wait_event(0, staged.ready);
-                model.set_adjacency(&staged.batch.adj);
-                tensor::Tensor logits = model.forward(
-                    ctx.device, staged.batch.features, /*train=*/true);
-                auto loss = nn::masked_softmax_cross_entropy(
-                    ctx.device, logits, staged.batch.labels,
-                    staged.batch.seed_rows);
-                loss_sum += loss.loss;
-                if (accum > 1)
-                  // Every micro-batch masks the same number of seed rows, so
-                  // the accumulated gradient is the uniform mean.
-                  tensor::ops::scale(ctx.device, loss.dlogits,
-                                     1.0f / static_cast<float>(accum));
-                // Sync hooks fire only on the final micro-batch: earlier
-                // backwards accumulate locally instead of triggering a
-                // partial all-reduce.
-                if (sync && a + 1 == accum) {
-                  model.backward(ctx.device, loss.dlogits, [&](nn::Param* p) {
-                    sync->notify_grad_ready(ri, p);
-                  });
-                } else {
-                  model.backward(ctx.device, loss.dlogits);
-                }
-                model.set_adjacency(&placeholder);
-                ++rank_batches[ri];
-                rank_edges[ri] += staged.batch.sampled_edges;
-                rank_h2d[ri] += staged.batch.h2d_bytes();
-              }
-              return loss_sum / static_cast<double>(accum);
-            },
-            {}, rank_of_part[static_cast<std::size_t>(r)]));
-      }
-
-      dflow::Future reduced = cluster.submit(
-          "sampled_allreduce",
-          [&](dflow::WorkerCtx&) -> std::any {
-            if (sync) sync->sync();
-            return {};
-          },
-          grads, /*rank=*/-1);
-
-      std::vector<dflow::Future> updates;
-      updates.reserve(static_cast<std::size_t>(k));
-      for (int r = 0; r < k; ++r) {
-        updates.push_back(cluster.submit(
-            "sampled_optim:" + std::to_string(r),
-            [&, r](dflow::WorkerCtx& ctx) -> std::any {
-              const auto ri = static_cast<std::size_t>(r);
-              auto params = replicas[ri]->params();
-              optimizers[ri]->step(ctx.device, params);
-              return {};
-            },
-            {reduced}, rank_of_part[static_cast<std::size_t>(r)]));
-      }
-
-      Status first{};
-      for (const auto& f : updates) {
-        const Status st = f.wait_status();
-        if (!st.ok() && first.ok()) first = st;
-      }
-      if (!first.ok()) return first;
-
-      double step_loss = 0.0;
-      for (const auto& f : grads) {
-        Expected<double> v = f.result<double>();
-        if (!v) return v.status();
-        step_loss += *v;
-      }
-      result.step_losses.push_back(step_loss / static_cast<double>(k));
-    }
-    return {};
-  };
-
-  auto finish = [&]() -> Expected<SampledGcnResult> {
-    // Drain lookahead before reading any counter the staging tasks touch.
-    for (auto& p : pipelines) p.reset();
-    result.train_sim_seconds = devices.now_s() - sim_t0;
-    for (int r = 0; r < k; ++r) {
-      const auto ri = static_cast<std::size_t>(r);
-      result.batches += rank_batches[ri];
-      result.sampled_edges += rank_edges[ri];
-      result.h2d_bytes += rank_h2d[ri];
-    }
-    const graph::ShardStoreStats st = store.stats();
-    result.shard_loads = st.loads;
-    result.shard_evictions = st.evictions;
-    result.peak_resident_bytes = mem::process_peak_resident_bytes();
-
-    std::vector<int> used = rank_of_part;
-    std::sort(used.begin(), used.end());
-    used.erase(std::unique(used.begin(), used.end()), used.end());
-    double h2d_s = 0.0;
-    double hidden_s = 0.0;
-    for (const int rank : used) {
-      const prof::TransferOverlap ov =
-          prof::transfer_overlap(devices.timeline(), rank);
-      h2d_s += ov.h2d_s;
-      hidden_s += ov.hidden_s;
-    }
-    result.h2d_hidden_frac = h2d_s > 0.0 ? hidden_s / h2d_s : 0.0;
-
-    // The trained model leaves the cluster (accounted D2H), then one fixed
-    // eval batch — dropout off, no RNG advance — gives a deterministic
-    // held-out loss.
-    for (nn::Param* p : replicas[0]->params()) {
-      const Status s = p->value.to_host();
-      if (!s.ok()) return s;
-    }
-    const std::vector<graph::NodeId> eval_seeds = graph::schedule_seeds(
-        ranges[0].first, ranges[0].second, config.batch_size,
-        graph::mix64(config.seed, 0), static_cast<std::uint64_t>(config.epochs),
-        0);
-    Expected<graph::MiniBatch> eval_batch = samplers[0].sample(
-        static_cast<std::uint64_t>(config.epochs), 0, eval_seeds);
-    if (!eval_batch) return eval_batch.status();
-    replicas[0]->set_adjacency(&eval_batch->adj);
-    const tensor::Tensor logits = replicas[0]->forward(
-        &devices.device(0), eval_batch->features, /*train=*/false);
-    result.eval_loss = nn::masked_softmax_cross_entropy(
-                           &devices.device(0), logits, eval_batch->labels,
-                           eval_batch->seed_rows)
-                           .loss;
-    replicas[0]->set_adjacency(&placeholder);
-
-    result.final_world = k;
-    return result;
-  };
-
-  if (!ft.enabled) {
-    rebuild_pipelines(0);
-    const Status s = run_chunk(0, total_steps);
-    if (!s.ok()) return s;
-    return finish();
+  result.step_losses = set.losses();
+  result.train_sim_seconds = devices.now_s() - sim_t0;
+  for (std::size_t r = 0; r < rank_batches.size(); ++r) {
+    result.batches += rank_batches[r];
+    result.sampled_edges += rank_edges[r];
+    result.h2d_bytes += rank_h2d[r];
   }
+  const graph::ShardStoreStats st = store.stats();
+  result.shard_loads = st.loads;
+  result.shard_evictions = st.evictions;
+  result.peak_resident_bytes = mem::process_peak_resident_bytes();
 
-  // --- Fault-tolerant path: step-chunked checkpoint/restart. ---------------
-  // Synchronized steps keep parameters and velocity identical across
-  // replicas, so the checkpoint stores replica 0's copy once; the dropout
-  // RNG streams are per-replica and stored per rank — restoring them is
-  // what makes a resumed run bit-identical to an uninterrupted one.  The
-  // batch schedule itself needs no state: pipelines re-enter at flat batch
-  // step * accum.
-  auto save_ckpt = [&](std::uint64_t step) -> Status {
-    nn::Checkpoint ckpt;
-    ckpt.epoch = step;
-    ckpt.scalars["k"] = static_cast<double>(k);
-    const auto params0 = replicas[0]->params();
-    for (std::size_t p = 0; p < params0.size(); ++p)
-      ckpt.put("param" + std::to_string(p), params0[p]->value);
-    const auto opt_state = optimizers[0]->state();
-    for (std::size_t s = 0; s < opt_state.size(); ++s)
-      ckpt.put("opt" + std::to_string(s), opt_state[s]);
-    ckpt.scalars["opt_n"] = static_cast<double>(opt_state.size());
-    ckpt.scalars["opt_t"] = static_cast<double>(optimizers[0]->step_count());
-    for (std::size_t s = 0; s < result.step_losses.size(); ++s)
-      ckpt.scalars["loss." + std::to_string(s)] = result.step_losses[s];
-    for (std::size_t r = 0; r < replicas.size(); ++r)
-      ckpt.blobs["rng" + std::to_string(r)] =
-          nn::serialize_engine(replicas[r]->rng().engine());
-    const Status s = nn::save_checkpoint(
-        nn::checkpoint_path(ft.checkpoint_dir, ft.checkpoint_prefix, step),
-        ckpt);
-    if (s.ok()) ++result.checkpoints_written;
-    return s;
-  };
-
-  auto restore_ckpt = [&](const nn::Checkpoint& ckpt) -> Status {
-    for (auto& replica : replicas) {
-      auto params = replica->params();
-      for (std::size_t p = 0; p < params.size(); ++p) {
-        const auto it = ckpt.tensors.find("param" + std::to_string(p));
-        if (it == ckpt.tensors.end() ||
-            !it->second.same_shape(params[p]->value))
-          return Status::failed_precondition(
-              "train_sampled_gcn: checkpoint parameter mismatch");
-        params[p]->value = it->second;
-      }
-    }
-    const auto n_it = ckpt.scalars.find("opt_n");
-    const std::size_t opt_n =
-        n_it == ckpt.scalars.end() ? 0
-                                   : static_cast<std::size_t>(n_it->second);
-    std::vector<tensor::Tensor> opt_state;
-    opt_state.reserve(opt_n);
-    for (std::size_t s = 0; s < opt_n; ++s) {
-      const auto it = ckpt.tensors.find("opt" + std::to_string(s));
-      if (it == ckpt.tensors.end())
-        return Status::failed_precondition(
-            "train_sampled_gcn: checkpoint optimizer state missing");
-      opt_state.push_back(it->second);
-    }
-    const auto t_it = ckpt.scalars.find("opt_t");
-    for (auto& opt : optimizers) {
-      opt->set_state(opt_state);
-      if (t_it != ckpt.scalars.end())
-        opt->set_step_count(static_cast<std::uint64_t>(t_it->second));
-    }
-    for (std::size_t r = 0; r < replicas.size(); ++r) {
-      const auto it = ckpt.blobs.find("rng" + std::to_string(r));
-      if (it == ckpt.blobs.end())
-        return Status::failed_precondition(
-            "train_sampled_gcn: checkpoint RNG stream missing");
-      const Status s =
-          nn::deserialize_engine(it->second, replicas[r]->rng().engine());
-      if (!s.ok()) return s;
-    }
-    result.step_losses.clear();
-    result.step_losses.reserve(static_cast<std::size_t>(ckpt.epoch));
-    for (std::uint64_t s = 0; s < ckpt.epoch; ++s) {
-      const auto it = ckpt.scalars.find("loss." + std::to_string(s));
-      if (it == ckpt.scalars.end())
-        return Status::failed_precondition(
-            "train_sampled_gcn: checkpoint loss history missing");
-      result.step_losses.push_back(it->second);
-    }
-    return {};
-  };
-
-  // Resume-on-entry: a same-k checkpoint means this call is the restarted
-  // half of a preempted run.
-  std::size_t step = 0;
-  if (Expected<nn::Checkpoint> latest = nn::load_latest_checkpoint(
-          ft.checkpoint_dir, ft.checkpoint_prefix)) {
-    const auto kit = latest->scalars.find("k");
-    if (kit != latest->scalars.end() && static_cast<int>(kit->second) == k) {
-      const Status rs = restore_ckpt(*latest);
-      if (!rs.ok()) return rs;
-      if (const Status ps = place_params(); !ps.ok()) return ps;
-      step = static_cast<std::size_t>(latest->epoch);
-      ++result.checkpoints_restored;
-    }
+  std::vector<int> used = set.lanes();
+  std::sort(used.begin(), used.end());
+  used.erase(std::unique(used.begin(), used.end()), used.end());
+  double h2d_s = 0.0;
+  double hidden_s = 0.0;
+  for (const int rank : used) {
+    const prof::TransferOverlap ov =
+        prof::transfer_overlap(devices.timeline(), rank);
+    h2d_s += ov.h2d_s;
+    hidden_s += ov.hidden_s;
   }
-  if (step == 0) {
-    const Status s = save_ckpt(0);
-    if (!s.ok()) return s;
-  }
+  result.h2d_hidden_frac = h2d_s > 0.0 ? hidden_s / h2d_s : 0.0;
 
-  while (step < total_steps) {
-    Status chunk_status{};
-    bool chunk_ok = false;
-    for (int attempt = 1; attempt <= ft.max_chunk_attempts; ++attempt) {
-      const std::size_t chunk_end = std::min(
-          step + static_cast<std::size_t>(ft.checkpoint_every), total_steps);
-      // A failed attempt consumed pipeline batches; re-enter the schedule
-      // at the chunk's first batch.
-      rebuild_pipelines(step);
-      chunk_status = run_chunk(step, chunk_end);
-      if (chunk_status.ok()) {
-        step = chunk_end;
-        chunk_ok = true;
-        break;
-      }
-      if (!chunk_status.retryable()) return chunk_status;
-      ++result.chunk_restarts;
+  // The trained model leaves the cluster (accounted D2H), then one fixed
+  // eval batch — dropout off, no RNG advance — gives a deterministic
+  // held-out loss.
+  nn::Gcn& model = set.replica(0);
+  for (nn::Param* p : model.params())
+    if (const Status s = p->value.to_host(); !s.ok()) return s;
+  const std::vector<graph::NodeId> eval_seeds = graph::schedule_seeds(
+      ranges[0].first, ranges[0].second, config.batch_size,
+      graph::mix64(config.seed, 0), static_cast<std::uint64_t>(config.epochs),
+      0);
+  Expected<graph::MiniBatch> eval_batch = samplers[0].sample(
+      static_cast<std::uint64_t>(config.epochs), 0, eval_seeds);
+  if (!eval_batch) return eval_batch.status();
+  model.set_adjacency(&eval_batch->adj);
+  const tensor::Tensor logits = model.forward(
+      &devices.device(0), eval_batch->features, /*train=*/false);
+  result.eval_loss = nn::masked_softmax_cross_entropy(
+                         &devices.device(0), logits, eval_batch->labels,
+                         eval_batch->seed_rows)
+                         .loss;
+  model.set_adjacency(&placeholder);
 
-      // Ranks reclaimed for good: remap every training range onto the
-      // survivors (ranges are storage-free, so a remap moves parameters,
-      // not graph data).  Fewer survivors than ranks is fatal — sampled
-      // ranges are never re-partitioned.
-      bool lost = false;
-      for (const int rank : rank_of_part)
-        if (!cluster.rank_available(rank)) lost = true;
-      if (lost) {
-        const std::vector<int> survivors = cluster.active_ranks();
-        if (static_cast<int>(survivors.size()) < k)
-          return Status::unavailable(
-              "train_sampled_gcn: only " +
-              std::to_string(survivors.size()) + " of " + std::to_string(k) +
-              " ranks available: " + chunk_status.message());
-        rank_of_part.assign(survivors.begin(), survivors.begin() + k);
-      }
-
-      Expected<nn::Checkpoint> latest = nn::load_latest_checkpoint(
-          ft.checkpoint_dir, ft.checkpoint_prefix);
-      if (!latest) return latest.status();
-      const Status rs = restore_ckpt(*latest);
-      if (!rs.ok()) return rs;
-      if (const Status ps = place_params(); !ps.ok()) return ps;
-      step = static_cast<std::size_t>(latest->epoch);
-      ++result.checkpoints_restored;
-    }
-    if (!chunk_ok)
-      return Status::unavailable(
-          "train_sampled_gcn: chunk at step " + std::to_string(step) +
-          " failed after " + std::to_string(ft.max_chunk_attempts) +
-          " attempts: " + chunk_status.message());
-    const Status s = save_ckpt(static_cast<std::uint64_t>(step));
-    if (!s.ok()) return s;
-  }
-
-  return finish();
+  result.chunk_restarts = set.fault_stats().chunk_restarts;
+  result.checkpoints_written = set.fault_stats().checkpoints_written;
+  result.checkpoints_restored = set.fault_stats().checkpoints_restored;
+  result.final_world = k;
+  return result;
 }
 
 }  // namespace sagesim::core

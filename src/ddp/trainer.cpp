@@ -3,7 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "nn/checkpoint.hpp"
 #include "tensor/ops.hpp"
 
 namespace sagesim::ddp {
@@ -24,22 +23,10 @@ DataParallelTrainer::DataParallelTrainer(dflow::Cluster& cluster,
     optimizers_.push_back(optimizer());
   }
 
-  std::vector<std::vector<nn::Param*>> replicas;
-  replicas.reserve(models_.size());
-  for (auto& m : models_) replicas.push_back(m->params());
-  // Place every replica's parameters and gradients on its rank's device up
-  // front — the explicit placement transition (accounted H2D) that DDP's
-  // "model.to(device)" performs.  Compute is unchanged: device storage stays
-  // host-reachable, so kernels read the same bits either way.
-  for (std::size_t r = 0; r < replicas.size(); ++r) {
-    auto& dev = cluster_.devices().device(r);
-    for (nn::Param* p : replicas[r]) {
-      p->value.to_device(dev).throw_if_error();
-      p->grad.to_device(dev).throw_if_error();
-    }
-  }
+  place_replicas().throw_if_error();
   // Broadcast after placement, so rank 0's weights travel the peer links as
   // accounted device-to-device copies.
+  std::vector<std::vector<nn::Param*>> replicas = refs().params;
   broadcast_params(cluster_.devices(), replicas);
   sync_ = std::make_unique<GradientSynchronizer>(
       cluster_.devices(), replicas,
@@ -164,25 +151,35 @@ Expected<StepStats> DataParallelTrainer::try_step(const tensor::Tensor& x,
   return stats;
 }
 
+nn::ReplicaRefs DataParallelTrainer::refs() const {
+  nn::ReplicaRefs refs;
+  for (std::size_t r = 0; r < models_.size(); ++r) {
+    refs.params.push_back(models_[r]->params());
+    refs.optimizers.push_back(optimizers_[r].get());
+  }
+  return refs;
+}
+
+Status DataParallelTrainer::place_replicas() {
+  // "model.to(device)": each replica's parameters and gradients live on its
+  // rank's device (accounted H2D).  Compute is unchanged: device storage
+  // stays host-reachable, so kernels read the same bits either way.
+  for (std::size_t r = 0; r < models_.size(); ++r) {
+    auto& dev = cluster_.devices().device(r);
+    for (nn::Param* p : models_[r]->params())
+      for (tensor::Tensor* t : {&p->value, &p->grad})
+        if (const Status s = t->to_device(dev); !s.ok()) return s;
+  }
+  return {};
+}
+
 Status DataParallelTrainer::save_checkpoint(std::uint64_t epoch) const {
   if (options_.checkpoint_dir.empty())
     return Status::failed_precondition(
         "DataParallelTrainer: checkpointing disabled (no checkpoint_dir)");
   nn::Checkpoint ckpt;
   ckpt.epoch = epoch;
-  ckpt.scalars["world"] = static_cast<double>(models_.size());
-  for (std::size_t r = 0; r < models_.size(); ++r) {
-    const std::string base = "r" + std::to_string(r) + ".";
-    auto params = models_[r]->params();
-    for (std::size_t p = 0; p < params.size(); ++p)
-      ckpt.put(base + "param" + std::to_string(p), params[p]->value);
-    const auto opt_state = optimizers_[r]->state();
-    for (std::size_t s = 0; s < opt_state.size(); ++s)
-      ckpt.put(base + "opt" + std::to_string(s), opt_state[s]);
-    ckpt.scalars[base + "opt_n"] = static_cast<double>(opt_state.size());
-    ckpt.scalars[base + "opt_t"] =
-        static_cast<double>(optimizers_[r]->step_count());
-  }
+  nn::put_replica_state(ckpt, refs(), {});
   return nn::save_checkpoint(
       nn::checkpoint_path(options_.checkpoint_dir, options_.checkpoint_prefix,
                           epoch),
@@ -196,58 +193,15 @@ Expected<std::uint64_t> DataParallelTrainer::restore_latest() {
   Expected<nn::Checkpoint> loaded = nn::load_latest_checkpoint(
       options_.checkpoint_dir, options_.checkpoint_prefix);
   if (!loaded) return loaded.status();
-  const nn::Checkpoint& ckpt = *loaded;
-
-  const auto world_it = ckpt.scalars.find("world");
-  if (world_it == ckpt.scalars.end() ||
-      static_cast<std::size_t>(world_it->second) != models_.size())
+  if (nn::replica_count(*loaded) != models_.size())
     return Status::failed_precondition(
         "DataParallelTrainer: checkpoint world size mismatch");
-
-  for (std::size_t r = 0; r < models_.size(); ++r) {
-    const std::string base = "r" + std::to_string(r) + ".";
-    auto params = models_[r]->params();
-    for (std::size_t p = 0; p < params.size(); ++p) {
-      const std::string name = base + "param" + std::to_string(p);
-      const auto it = ckpt.tensors.find(name);
-      if (it == ckpt.tensors.end() ||
-          !it->second.same_shape(params[p]->value))
-        return Status::failed_precondition(
-            "DataParallelTrainer: checkpoint parameter shape mismatch");
-      params[p]->value = it->second;  // host copy; re-place below
-      const nn::TensorPlacement place = ckpt.placement_of(name);
-      if (place.placement != mem::Placement::kHost) {
-        if (place.device < 0 ||
-            place.device >=
-                static_cast<std::int32_t>(cluster_.devices().device_count()))
-          return Status::failed_precondition(
-              "DataParallelTrainer: checkpoint placement names device " +
-              std::to_string(place.device) + " not present in this cluster");
-        const Status moved = params[p]->value.to_device(
-            cluster_.devices().device(static_cast<std::size_t>(place.device)));
-        if (!moved.ok()) return moved;
-      }
-    }
-    const auto n_it = ckpt.scalars.find(base + "opt_n");
-    const std::size_t opt_n =
-        n_it == ckpt.scalars.end() ? 0
-                                   : static_cast<std::size_t>(n_it->second);
-    std::vector<tensor::Tensor> opt_state;
-    opt_state.reserve(opt_n);
-    for (std::size_t s = 0; s < opt_n; ++s) {
-      const auto it = ckpt.tensors.find(base + "opt" + std::to_string(s));
-      if (it == ckpt.tensors.end())
-        return Status::failed_precondition(
-            "DataParallelTrainer: checkpoint optimizer state missing");
-      opt_state.push_back(it->second);
-    }
-    optimizers_[r]->set_state(std::move(opt_state));
-    if (const auto t_it = ckpt.scalars.find(base + "opt_t");
-        t_it != ckpt.scalars.end())
-      optimizers_[r]->set_step_count(
-          static_cast<std::uint64_t>(t_it->second));
-  }
-  return ckpt.epoch;
+  if (const Status s = nn::restore_replica_state(*loaded, refs(), nullptr);
+      !s.ok())
+    return s;
+  // Restored values are host copies; each goes back to its rank's device.
+  if (const Status s = place_replicas(); !s.ok()) return s;
+  return loaded->epoch;
 }
 
 tensor::Tensor DataParallelTrainer::predict(const tensor::Tensor& x) {

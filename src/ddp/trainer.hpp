@@ -10,6 +10,7 @@
 
 #include "ddp/grad_sync.hpp"
 #include "dflow/cluster.hpp"
+#include "nn/checkpoint.hpp"
 #include "nn/loss.hpp"
 #include "nn/optim.hpp"
 #include "nn/sequential.hpp"
@@ -75,14 +76,15 @@ class DataParallelTrainer {
   Expected<StepStats> try_step(const tensor::Tensor& x,
                                std::span<const int> y);
 
-  /// Writes an epoch checkpoint (per-replica parameters + optimizer state)
-  /// under options().checkpoint_dir.  kFailedPrecondition when
-  /// checkpointing is disabled.
+  /// Writes an epoch checkpoint (nn::ReplicaRefs layout) under
+  /// options().checkpoint_dir.  kFailedPrecondition when checkpointing is
+  /// disabled.
   Status save_checkpoint(std::uint64_t epoch) const;
 
-  /// Restores the newest loadable checkpoint, skipping corrupt files, and
-  /// returns its epoch.  kUnavailable when none exists; kFailedPrecondition
-  /// when the checkpoint's world size or shapes do not match.
+  /// Restores the newest loadable checkpoint, skipping corrupt files, onto
+  /// each rank's device and returns its epoch.  kUnavailable when none
+  /// exists; kFailedPrecondition, with every replica untouched, when the
+  /// checkpoint's world size, keys or shapes do not match.
   Expected<std::uint64_t> restore_latest();
 
   /// Inference on rank 0's replica.
@@ -91,6 +93,9 @@ class DataParallelTrainer {
   nn::Sequential& replica(int rank) { return *models_.at(static_cast<std::size_t>(rank)); }
 
  private:
+  nn::ReplicaRefs refs() const;
+  Status place_replicas();
+
   dflow::Cluster& cluster_;
   TrainerOptions options_;
   std::vector<std::unique_ptr<nn::Sequential>> models_;

@@ -25,12 +25,16 @@
 #include <string>
 #include <vector>
 
-#include "dflow/future.hpp"
 #include "gpusim/device_manager.hpp"
+#include "runtime/future.hpp"
 #include "runtime/job_control.hpp"
 #include "runtime/scheduler.hpp"
 
 namespace sagesim::dflow {
+
+/// dask.distributed.Future analogue: the runtime's type-erased future, so
+/// any dflow future is also a runtime::Scheduler dependency and vice versa.
+using Future = runtime::AnyFuture;
 
 /// Execution context a task receives: its worker rank and that worker's
 /// simulated GPU.  For unpinned (stealable) tasks, the rank is whichever

@@ -1,6 +1,7 @@
 #include "nn/checkpoint.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -10,15 +11,17 @@
 #include <utility>
 #include <vector>
 
-#include "gpusim/device.hpp"
+#include "mem/buffer.hpp"
 
 namespace sagesim::nn {
 
 namespace {
 
 constexpr char kMagic[8] = {'S', 'G', 'S', 'M', 'C', 'K', 'P', 'T'};
-// v2 added a per-tensor placement byte + device ordinal; v1 files still
-// load (host placement for everything).
+// v2 added a per-tensor placement byte + device ordinal.  Stored tensors
+// are host copies and restores place replicas on their own ranks, so the
+// fields are written as host and validated, then ignored, on load; v1
+// files (without them) still load.
 constexpr std::uint32_t kVersion = 2;
 constexpr std::uint32_t kMinVersion = 1;
 
@@ -81,9 +84,8 @@ std::string encode_payload(const Checkpoint& ckpt) {
     put_str(p, name);
     put<std::uint64_t>(p, t.rows());
     put<std::uint64_t>(p, t.cols());
-    const TensorPlacement place = ckpt.placement_of(name);
-    put<std::uint8_t>(p, static_cast<std::uint8_t>(place.placement));
-    put<std::int32_t>(p, place.device);
+    put<std::uint8_t>(p, static_cast<std::uint8_t>(mem::Placement::kHost));
+    put<std::int32_t>(p, -1);
     p.append(reinterpret_cast<const char*>(t.data()),
              t.size() * sizeof(float));
   }
@@ -108,27 +110,24 @@ bool decode_payload(const std::string& payload, std::uint32_t version,
     std::string name = r.get_str();
     const auto rows = r.get<std::uint64_t>();
     const auto cols = r.get<std::uint64_t>();
-    TensorPlacement place;
     if (version >= 2) {
-      const auto raw = r.get<std::uint8_t>();
-      place.device = r.get<std::int32_t>();
-      if (raw > static_cast<std::uint8_t>(mem::Placement::kManaged)) {
+      const auto placement = r.get<std::uint8_t>();
+      r.get<std::int32_t>();  // device ordinal
+      if (placement > static_cast<std::uint8_t>(mem::Placement::kManaged))
         r.failed = true;
-        break;
-      }
-      place.placement = static_cast<mem::Placement>(raw);
     }
     if (r.failed) break;
-    tensor::Tensor t(static_cast<std::size_t>(rows),
-                     static_cast<std::size_t>(cols));
-    const std::size_t bytes = t.size() * sizeof(float);
-    if (r.pos + bytes > payload.size()) {
+    // Size nothing from rows x cols before the payload is known to hold it.
+    const std::uint64_t floats_left = (payload.size() - r.pos) / sizeof(float);
+    if (rows != 0 && cols > floats_left / rows) {
       r.failed = true;
       break;
     }
+    tensor::Tensor t(static_cast<std::size_t>(rows),
+                     static_cast<std::size_t>(cols));
+    const std::size_t bytes = t.size() * sizeof(float);
     std::memcpy(t.data(), payload.data() + r.pos, bytes);
     r.pos += bytes;
-    ckpt.placements.emplace(name, place);
     ckpt.tensors.emplace(std::move(name), std::move(t));
   }
   const auto n_blobs = r.get<std::uint32_t>();
@@ -146,19 +145,22 @@ bool decode_payload(const std::string& payload, std::uint32_t version,
   return !r.failed && r.pos == payload.size();
 }
 
+// A count read back from a scalar must be an integer a double holds
+// exactly: anything else is malformed, never an out-of-range cast.
+bool count_of(const Checkpoint& ckpt, const std::string& key,
+              std::uint64_t& out) {
+  const auto it = ckpt.scalars.find(key);
+  if (it == ckpt.scalars.end() || !(it->second >= 0.0) ||
+      it->second > 0x1p53 || it->second != std::floor(it->second))
+    return false;
+  out = static_cast<std::uint64_t>(it->second);
+  return true;
+}
+
 }  // namespace
 
 void Checkpoint::put(const std::string& name, const tensor::Tensor& t) {
-  TensorPlacement place;
-  place.placement = t.placement();
-  place.device = t.device() != nullptr ? t.device()->ordinal() : -1;
-  placements[name] = place;
   tensors[name] = t.host_copy();
-}
-
-TensorPlacement Checkpoint::placement_of(const std::string& name) const {
-  auto it = placements.find(name);
-  return it == placements.end() ? TensorPlacement{} : it->second;
 }
 
 Status save_checkpoint(const std::string& path, const Checkpoint& ckpt) {
@@ -252,6 +254,10 @@ Expected<Checkpoint> load_latest_checkpoint(const std::string& dir,
                                     " with prefix " + prefix);
   for (const auto& [epoch, path] : candidates) {
     Expected<Checkpoint> loaded = load_checkpoint(path);
+    if (loaded && loaded->epoch != epoch)
+      loaded = Status::data_loss("checkpoint: header epoch " +
+                                 std::to_string(loaded->epoch) +
+                                 " disagrees with " + path);
     if (loaded) return loaded;  // fall back past corrupt/truncated files
     last = loaded.status();
   }
@@ -269,6 +275,87 @@ Status deserialize_engine(const std::string& blob, std::mt19937_64& engine) {
   ss >> engine;
   if (ss.fail())
     return Status::data_loss("checkpoint: malformed RNG engine state");
+  return {};
+}
+
+void put_replica_state(Checkpoint& ckpt, const ReplicaRefs& replicas,
+                       std::span<const double> losses) {
+  ckpt.scalars["k"] = static_cast<double>(replicas.params.size());
+  const std::vector<Param*>& params = replicas.params.front();
+  for (std::size_t p = 0; p < params.size(); ++p)
+    ckpt.put("param" + std::to_string(p), params[p]->value);
+  const Optimizer& opt = *replicas.optimizers.front();
+  const std::vector<tensor::Tensor> opt_state = opt.state();
+  for (std::size_t s = 0; s < opt_state.size(); ++s)
+    ckpt.put("opt" + std::to_string(s), opt_state[s]);
+  ckpt.scalars["opt_n"] = static_cast<double>(opt_state.size());
+  ckpt.scalars["opt_t"] = static_cast<double>(opt.step_count());
+  for (std::size_t e = 0; e < losses.size(); ++e)
+    ckpt.scalars["loss." + std::to_string(e)] = losses[e];
+  for (std::size_t r = 0; r < replicas.rngs.size(); ++r)
+    ckpt.blobs["rng" + std::to_string(r)] = serialize_engine(*replicas.rngs[r]);
+}
+
+std::size_t replica_count(const Checkpoint& ckpt) {
+  std::uint64_t k = 0;
+  return count_of(ckpt, "k", k) ? static_cast<std::size_t>(k) : 0;
+}
+
+Status restore_replica_state(const Checkpoint& ckpt,
+                             const ReplicaRefs& replicas,
+                             std::vector<double>* losses) {
+  const auto bad = [](const char* what) {
+    return Status::failed_precondition(std::string("checkpoint: ") + what);
+  };
+  // Reads tensors <prefix>0..n-1.  Optimizer state cycles through the
+  // parameters (SGD velocity; Adam's m then v), so tensor i must have the
+  // shape of parameter i mod the parameter count.
+  const std::vector<Param*>& params = replicas.params.front();
+  const auto read = [&](const std::string& prefix, std::uint64_t n,
+                        std::vector<tensor::Tensor>& out) {
+    for (std::uint64_t i = 0; i < n; ++i) {
+      const auto it = ckpt.tensors.find(prefix + std::to_string(i));
+      if (params.empty() || it == ckpt.tensors.end() ||
+          !it->second.same_shape(params[i % params.size()]->value))
+        return false;
+      out.push_back(it->second);
+    }
+    return true;
+  };
+  std::vector<tensor::Tensor> values;
+  std::vector<tensor::Tensor> opt_state;
+  std::uint64_t opt_n = 0;
+  std::uint64_t opt_t = 0;
+  if (!read("param", params.size(), values))
+    return bad("parameter mismatch");
+  if (!count_of(ckpt, "opt_n", opt_n) || !count_of(ckpt, "opt_t", opt_t) ||
+      !read("opt", opt_n, opt_state))
+    return bad("optimizer state mismatch");
+  std::vector<std::mt19937_64> engines(replicas.rngs.size());
+  for (std::size_t r = 0; r < engines.size(); ++r) {
+    const auto it = ckpt.blobs.find("rng" + std::to_string(r));
+    if (it == ckpt.blobs.end()) return bad("RNG stream missing");
+    if (const Status s = deserialize_engine(it->second, engines[r]); !s.ok())
+      return s;
+  }
+  // ckpt.epoch is a file field: it bounds this loop, never an allocation.
+  std::vector<double> history;
+  for (std::uint64_t e = 0; losses != nullptr && e < ckpt.epoch; ++e) {
+    const auto it = ckpt.scalars.find("loss." + std::to_string(e));
+    if (it == ckpt.scalars.end()) return bad("loss history missing");
+    history.push_back(it->second);
+  }
+
+  for (const std::vector<Param*>& replica : replicas.params)
+    for (std::size_t p = 0; p < replica.size(); ++p)
+      replica[p]->value = values[p];
+  for (Optimizer* opt : replicas.optimizers) {
+    opt->set_state(opt_state);
+    opt->set_step_count(opt_t);
+  }
+  for (std::size_t r = 0; r < engines.size(); ++r)
+    *replicas.rngs[r] = engines[r];
+  if (losses != nullptr) *losses = std::move(history);
   return {};
 }
 

@@ -14,41 +14,35 @@
 // classifies truncation/corruption as kDataLoss; load_latest_checkpoint
 // scans a directory and falls back to the newest *loadable* file, which is
 // exactly the recovery path the fault-matrix test exercises by truncating
-// the newest file on purpose.
+// the newest file on purpose.  The header epoch lies outside the checksum,
+// so the scan also treats a header epoch that disagrees with the file name
+// as data loss.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <random>
+#include <span>
 #include <string>
+#include <vector>
 
-#include "mem/buffer.hpp"
+#include "nn/layer.hpp"
+#include "nn/optim.hpp"
 #include "runtime/status.hpp"
 #include "tensor/tensor.hpp"
 
 namespace sagesim::nn {
 
-/// Where a checkpointed tensor lived at save time, so restore can put it
-/// back (format v2; v1 files load with host placement for everything).
-struct TensorPlacement {
-  mem::Placement placement{mem::Placement::kHost};
-  std::int32_t device{-1};  ///< device ordinal, -1 for host
-};
-
 struct Checkpoint {
   std::uint64_t epoch{0};  ///< completed epochs at save time
   std::map<std::string, tensor::Tensor> tensors;
-  std::map<std::string, TensorPlacement> placements;
   std::map<std::string, std::string> blobs;
   std::map<std::string, double> scalars;
 
-  /// The blessed snapshot path: records @p t's placement and stores an
-  /// explicit host copy (accounted D2H when @p t is device-resident) —
-  /// checkpoints never silently read device memory.
+  /// The blessed snapshot path: stores an explicit host copy of @p t
+  /// (accounted D2H when @p t is device-resident) — checkpoints never
+  /// silently read device memory.
   void put(const std::string& name, const tensor::Tensor& t);
-
-  /// Placement recorded for @p name (host when absent, e.g. v1 files).
-  TensorPlacement placement_of(const std::string& name) const;
 };
 
 /// Atomic save (tmp + rename).  I/O failures come back as kInternal.
@@ -71,5 +65,31 @@ Expected<Checkpoint> load_latest_checkpoint(const std::string& dir,
 /// mt19937_64 engine state round-trip for Checkpoint::blobs.
 std::string serialize_engine(const std::mt19937_64& engine);
 Status deserialize_engine(const std::string& blob, std::mt19937_64& engine);
+
+/// The key layout every data-parallel trainer checkpoints with.
+/// Synchronized steps keep parameters and optimizer state identical across
+/// replicas, so replica 0's copy is stored once: `k` (replica count),
+/// `param<i>`, `opt<i>` with `opt_n` and `opt_t`, the loss history
+/// `loss.<i>`, and one RNG stream `rng<r>` per entry of rngs.
+struct ReplicaRefs {
+  std::vector<std::vector<Param*>> params;  ///< per replica, same shapes
+  std::vector<Optimizer*> optimizers;       ///< per replica
+  std::vector<std::mt19937_64*> rngs;       ///< per replica, or none
+};
+
+/// Writes @p replicas' state and the loss history @p losses into @p ckpt.
+void put_replica_state(Checkpoint& ckpt, const ReplicaRefs& replicas,
+                       std::span<const double> losses);
+
+/// The checkpoint's `k`; 0 when absent or malformed.
+std::size_t replica_count(const Checkpoint& ckpt);
+
+/// Restores every replica: host copies of the parameters, optimizer state,
+/// the streams in replicas.rngs and, when @p losses is set, ckpt.epoch
+/// losses.  Checks everything before writing anything, so an error leaves
+/// the replicas untouched.  The caller checks replica_count.
+Status restore_replica_state(const Checkpoint& ckpt,
+                             const ReplicaRefs& replicas,
+                             std::vector<double>* losses);
 
 }  // namespace sagesim::nn

@@ -1,12 +1,8 @@
-// Wall-clock measurement helpers for the benchmark harness and for
-// host-side ranges whose cost is real (not modeled).
+// Wall-clock measurement for the benchmark harness and for host-side
+// work whose cost is real (not modeled).
 #pragma once
 
 #include <chrono>
-#include <cstdint>
-#include <string>
-
-#include "prof/trace.hpp"
 
 namespace sagesim::prof {
 
@@ -32,34 +28,6 @@ class HostTimer {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// RAII range that measures *wall-clock* time and records a kHostCompute
-/// event into @p timeline on destruction.  Start timestamps are wall-clock
-/// seconds since the timeline-epoch captured at construction of the first
-/// range (callers that mix modeled and wall time should keep them in
-/// separate timelines).
-class ScopedHostRange {
- public:
-  ScopedHostRange(Timeline& timeline, std::string name)
-      : timeline_(timeline), name_(std::move(name)) {}
-
-  ScopedHostRange(const ScopedHostRange&) = delete;
-  ScopedHostRange& operator=(const ScopedHostRange&) = delete;
-
-  ~ScopedHostRange() {
-    TraceEvent e;
-    e.name = std::move(name_);
-    e.kind = EventKind::kHostCompute;
-    e.start_s = 0.0;
-    e.duration_s = timer_.elapsed_s();
-    timeline_.record(std::move(e));
-  }
-
- private:
-  Timeline& timeline_;
-  std::string name_;
-  HostTimer timer_;
 };
 
 }  // namespace sagesim::prof

@@ -1,21 +1,11 @@
 #include "sched/telemetry.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 
-namespace sagesim::sched {
+#include "stats/descriptive.hpp"
 
-double percentile(std::vector<double> values, double p) {
-  if (values.empty()) return 0.0;
-  p = std::clamp(p, 0.0, 1.0);
-  std::sort(values.begin(), values.end());
-  const double pos = p * static_cast<double>(values.size() - 1);
-  const auto lo = static_cast<std::size_t>(std::floor(pos));
-  const auto hi = std::min(lo + 1, values.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return values[lo] + frac * (values[hi] - values[lo]);
-}
+namespace sagesim::sched {
 
 SchedReport build_report(const ClusterManager& manager) {
   SchedReport r;
@@ -32,8 +22,8 @@ SchedReport build_report(const ClusterManager& manager) {
     if (rec.first_start_h >= 0.0) waits.push_back(rec.wait_h());
   }
   if (!waits.empty()) {
-    r.wait_p50_h = percentile(waits, 0.50);
-    r.wait_p99_h = percentile(waits, 0.99);
+    r.wait_p50_h = stats::quantile(waits, 0.50);
+    r.wait_p99_h = stats::quantile(waits, 0.99);
     r.wait_max_h = *std::max_element(waits.begin(), waits.end());
     double sum = 0.0;
     for (double w : waits) sum += w;

@@ -6,7 +6,6 @@
 
 #include <cstddef>
 #include <string>
-#include <vector>
 
 #include "sched/manager.hpp"
 
@@ -46,9 +45,6 @@ struct SchedReport {
   double cost_per_tenant_max_usd{0.0};
   double gpu_hours{0.0};
 };
-
-/// p-th percentile (p in [0, 1]) by linear interpolation; 0 for empty input.
-double percentile(std::vector<double> values, double p);
 
 /// Rolls the manager's current state into one report.  Waits cover every
 /// job that was placed at least once.

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -355,6 +356,55 @@ TEST(DdpFault, CheckpointRestoreRewindsParameters) {
     ASSERT_EQ(restored.data()[i], at_ckpt.data()[i]) << "logit " << i;
 }
 
+TEST(DdpFault, RejectsPerReplicaCheckpointLayout) {
+  // The per-replica layout older builds wrote ("world", "r<r>.param<i>",
+  // ...) is refused as a whole: no replica is touched.
+  gpu::DeviceManager dm(2, gpu::spec::test_tiny());
+  dflow::Cluster cluster(dm);
+  ddp::TrainerOptions opts;
+  opts.checkpoint_dir = scratch_dir("ddp_old_layout");
+  ddp::DataParallelTrainer trainer(
+      cluster, [] { return make_mlp(13); },
+      [] { return std::make_unique<nn::Sgd>(0.05f, 0.9f); }, opts);
+
+  nn::Checkpoint old;
+  old.epoch = 3;
+  old.scalars["world"] = 2.0;
+  std::vector<std::vector<tensor::Tensor>> before(2);
+  for (int r = 0; r < 2; ++r) {
+    const std::string base = "r" + std::to_string(r) + ".";
+    const auto params = trainer.replica(r).params();
+    for (std::size_t p = 0; p < params.size(); ++p) {
+      before[static_cast<std::size_t>(r)].push_back(
+          params[p]->value.host_copy());
+      tensor::Tensor t(params[p]->value.rows(), params[p]->value.cols());
+      t.fill(0.5f);
+      old.put(base + "param" + std::to_string(p), t);
+    }
+    old.scalars[base + "opt_n"] = 0.0;
+    old.scalars[base + "opt_t"] = 0.0;
+  }
+  ASSERT_TRUE(
+      nn::save_checkpoint(nn::checkpoint_path(opts.checkpoint_dir, "ddp", 3),
+                          old)
+          .ok());
+
+  const Expected<std::uint64_t> epoch = trainer.restore_latest();
+  ASSERT_FALSE(epoch);
+  EXPECT_EQ(epoch.status().code(), ErrorCode::kFailedPrecondition);
+  for (int r = 0; r < 2; ++r) {
+    const auto params = trainer.replica(r).params();
+    for (std::size_t p = 0; p < params.size(); ++p) {
+      const tensor::Tensor now = params[p]->value.host_copy();
+      const tensor::Tensor& was = before[static_cast<std::size_t>(r)][p];
+      ASSERT_TRUE(now.same_shape(was));
+      for (std::size_t i = 0; i < now.size(); ++i)
+        ASSERT_EQ(now.data()[i], was.data()[i])
+            << "rank " << r << " param " << p << " elem " << i;
+    }
+  }
+}
+
 // --- spot market --------------------------------------------------------------
 
 TEST(SpotFleet, PriceTraceIsStepFunction) {
@@ -690,6 +740,82 @@ TEST(GcnFault, ResumesBitIdenticallyAcrossProcessRestart) {
     ASSERT_EQ(resumed->epoch_losses[e], full->epoch_losses[e])
         << "epoch " << e;  // bit-identical, not merely close
   EXPECT_EQ(resumed->test_accuracy, full->test_accuracy);
+}
+
+TEST(GcnFault, CheckpointKeyLayoutIsPinned) {
+  // Checkpoint directories written by earlier builds resume only while this
+  // key set holds.  The checkpoint after the first chunk carries velocity.
+  const auto dataset = small_dataset();
+  gpu::DeviceManager dm(2, gpu::spec::test_tiny());
+  dflow::Cluster cluster(dm);
+  auto cfg = gcn_config(2, /*epochs=*/4);
+  cfg.fault.enabled = true;
+  cfg.fault.checkpoint_dir = scratch_dir("gcn_layout");
+  cfg.fault.checkpoint_every = 2;
+  ASSERT_TRUE(core::try_train_distributed_gcn(dataset, cluster, cfg));
+
+  const auto ckpt = nn::load_checkpoint(
+      nn::checkpoint_path(cfg.fault.checkpoint_dir, "gcn", 2));
+  ASSERT_TRUE(ckpt) << ckpt.status().to_string();
+  std::set<std::string> tensors, scalars, blobs;
+  for (const auto& [name, t] : ckpt->tensors) tensors.insert(name);
+  for (const auto& [name, v] : ckpt->scalars) scalars.insert(name);
+  for (const auto& [name, b] : ckpt->blobs) blobs.insert(name);
+  EXPECT_EQ(tensors, (std::set<std::string>{"param0", "param1", "param2",
+                                            "param3", "opt0", "opt1", "opt2",
+                                            "opt3"}));
+  EXPECT_EQ(scalars, (std::set<std::string>{"k", "opt_n", "opt_t", "loss.0",
+                                            "loss.1"}));
+  EXPECT_EQ(blobs, (std::set<std::string>{"rng0", "rng1"}));
+  EXPECT_EQ(ckpt->scalars.at("k"), 2.0);
+  EXPECT_EQ(ckpt->scalars.at("opt_n"), 4.0);
+}
+
+TEST(GcnFault, FlippedHeaderEpochFallsBackToOlderCheckpoint) {
+  // The header epoch sits outside the payload checksum; a flip in any of
+  // its 64 bits must read as a corrupt file, so the resume falls back to
+  // the older checkpoint and still lands bit-identically.
+  const auto dataset = small_dataset();
+  auto run = [&](const std::string& dir, int epochs) {
+    gpu::DeviceManager dm(2, gpu::spec::test_tiny());
+    dflow::Cluster cluster(dm);
+    auto cfg = gcn_config(2, epochs);
+    cfg.fault.enabled = true;
+    cfg.fault.checkpoint_dir = dir;
+    cfg.fault.checkpoint_every = 4;
+    return core::try_train_distributed_gcn(dataset, cluster, cfg);
+  };
+  const auto full = run(scratch_dir("gcn_flip_full"), 16);
+  ASSERT_TRUE(full) << full.status().to_string();
+  const std::string half = scratch_dir("gcn_flip_half");
+  ASSERT_TRUE(run(half, 8));
+
+  // magic[8] | u32 version | u64 epoch | ...
+  constexpr std::size_t kEpochOffset = 12;
+  for (int bit = 0; bit < 64; ++bit) {
+    const std::string dir = scratch_dir("gcn_flip_bit");
+    fs::copy(half, dir);
+    const std::string newest = nn::checkpoint_path(dir, "gcn", 8);
+    {
+      std::fstream f(newest, std::ios::in | std::ios::out | std::ios::binary);
+      const auto pos = static_cast<std::streamoff>(kEpochOffset + bit / 8);
+      char byte = 0;
+      f.seekg(pos);
+      f.get(byte);
+      byte = static_cast<char>(byte ^ (1 << (bit % 8)));
+      f.seekp(pos);
+      f.put(byte);
+      ASSERT_TRUE(f.good()) << "bit " << bit;
+    }
+    Expected<core::DistributedGcnResult> resumed = Status::internal("unset");
+    ASSERT_NO_THROW(resumed = run(dir, 16)) << "bit " << bit;
+    ASSERT_TRUE(resumed) << "bit " << bit << ": "
+                         << resumed.status().to_string();
+    EXPECT_EQ(resumed->checkpoints_restored, 1u) << "bit " << bit;
+    // Resumed from epoch 4: epochs 8, 12 and 16 are written again.
+    EXPECT_EQ(resumed->checkpoints_written, 3u) << "bit " << bit;
+    ASSERT_EQ(resumed->epoch_losses, full->epoch_losses) << "bit " << bit;
+  }
 }
 
 TEST(GcnFault, ShrinksToSurvivingRanksWhenAllowed) {

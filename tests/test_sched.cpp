@@ -608,13 +608,6 @@ TEST(Autoscale, GrowsForDemandAndReleasesIdleNodes) {
   EXPECT_FALSE(sched::to_text(report).empty());
 }
 
-TEST(Telemetry, PercentileInterpolates) {
-  EXPECT_DOUBLE_EQ(sched::percentile({}, 0.5), 0.0);
-  EXPECT_DOUBLE_EQ(sched::percentile({3.0, 1.0, 2.0}, 0.5), 2.0);
-  EXPECT_DOUBLE_EQ(sched::percentile({1.0, 2.0}, 1.0), 2.0);
-  EXPECT_NEAR(sched::percentile({0.0, 10.0}, 0.25), 2.5, 1e-12);
-}
-
 // --- semester load --------------------------------------------------------
 
 TEST(SemesterLoad, ScaledEnrollmentKeepsTheMix) {
