@@ -9,7 +9,7 @@
 
 #include "bench_util.hpp"
 #include "gpusim/device_manager.hpp"
-#include "gpusim/unified.hpp"
+#include "mem/buffer.hpp"
 
 using namespace sagesim;
 
@@ -28,12 +28,12 @@ double explicit_copy(std::size_t bytes, bool pinned) {
 double managed(std::size_t bytes, bool prefetch) {
   gpu::DeviceManager dm(1, gpu::spec::t4());
   auto& dev = dm.device(0);
-  gpu::ManagedBuffer<std::byte> buf(dev, bytes);
+  mem::Buffer buf = mem::Buffer::managed(dev, bytes).value();
   const double t0 = dev.stream_time(0);
   if (prefetch)
-    buf.prefetch_to_device();
-  else
-    buf.fault_to_device(0, bytes);  // kernel touches everything cold
+    buf.to_device(dev).throw_if_error();
+  else  // a kernel touches everything cold
+    buf.fault_to_device(0, bytes).throw_if_error();
   return dev.stream_time(0) - t0;
 }
 
@@ -63,6 +63,6 @@ int main() {
       "recovers explicit-copy performance while keeping the single-pointer\n"
       "programming model — the conclusion of the course's unified-memory\n"
       "references.\n",
-      gpu::ManagedAllocation::kFaultLatencyS * 1e6);
+      gpu::TimingModel::kPageFaultLatencyS * 1e6);
   return 0;
 }

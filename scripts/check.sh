@@ -26,6 +26,17 @@ if grep -rn "Deprecated shim" src/; then
 fi
 echo "no deprecated shims"
 
+step "static: one pricing path"
+# Every modeled device second comes from gpu::TimingModel through
+# gpu::Device; only the timing model and the spec catalog read the spec's
+# rates.  A hand-copied roofline or a made-up rate constant fails here.
+if grep -rnE 'peak_flops\(\)|peak_bytes_per_s\(\)|pcie_bytes_per_s\(\)|launch_overhead_us|5e9' \
+    src --include=*.cpp | grep -vE '^src/gpusim/(timing|device_spec)\.cpp:'; then
+  echo "error: device time computed outside gpu::TimingModel (route it through Device::charge_kernel or a TimingModel method)"
+  exit 1
+fi
+echo "one pricing path"
+
 step "tier-1: configure + build"
 cmake -B build -S . >/dev/null
 cmake --build build -j "$JOBS"

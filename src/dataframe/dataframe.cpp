@@ -188,16 +188,11 @@ DataFrame DataFrame::group_by(gpu::Device* dev, const std::string& key_name,
   // The scatter-reduce is executed serially (host) for determinism; a real
   // GPU hash aggregate's cost is charged analytically.
   for (std::size_t i = 0; i < key.size(); ++i) accumulate(i);
-  if (dev != nullptr && key.size() > 0) {
-    const double flops = 3.0 * static_cast<double>(key.size());
-    const double bytes =
-        static_cast<double>(key.size()) * (sizeof(double) + sizeof(std::int64_t));
-    dev->charge("df_groupby", prof::EventKind::kKernel,
-                std::max(flops / dev->spec().peak_flops(),
-                         bytes / dev->spec().peak_bytes_per_s()) +
-                    dev->spec().launch_overhead_us * 1e-6,
-                0, {{"flops", flops}, {"bytes", bytes}});
-  }
+  if (dev != nullptr && key.size() > 0)
+    dev->charge_kernel("df_groupby",
+                       {3.0 * static_cast<double>(key.size()),
+                        static_cast<double>(key.size()) *
+                            (sizeof(double) + sizeof(std::int64_t))});
 
   std::vector<Column> out;
   out.push_back(key.gather(first_rows));
@@ -277,13 +272,10 @@ DataFrame DataFrame::join(gpu::Device* dev, const DataFrame& right,
       right_rows.push_back(r);
     }
   }
-  if (dev != nullptr) {
-    const double bytes = static_cast<double>(lk.size() + rk.size()) * 16.0;
-    dev->charge("df_hash_join", prof::EventKind::kKernel,
-                bytes / dev->spec().peak_bytes_per_s() +
-                    dev->spec().launch_overhead_us * 1e-6,
-                0, {{"bytes", bytes}});
-  }
+  if (dev != nullptr)
+    dev->charge_kernel(
+        "df_hash_join",
+        {0.0, static_cast<double>(lk.size() + rk.size()) * 16.0});
 
   std::vector<Column> out;
   for (const auto& c : columns_) out.push_back(c.gather(left_rows));
@@ -314,14 +306,10 @@ double DataFrame::reduce(gpu::Device* dev, const std::string& col_name,
     mn = std::min(mn, v);
     mx = std::max(mx, v);
   }
-  if (dev != nullptr) {
-    const double bytes = static_cast<double>(c.size()) * sizeof(double);
-    dev->charge("df_reduce", prof::EventKind::kKernel,
-                bytes / dev->spec().peak_bytes_per_s() +
-                    dev->spec().launch_overhead_us * 1e-6,
-                0,
-                {{"flops", static_cast<double>(c.size())}, {"bytes", bytes}});
-  }
+  if (dev != nullptr)
+    dev->charge_kernel("df_reduce",
+                       {static_cast<double>(c.size()),
+                        static_cast<double>(c.size()) * sizeof(double)});
   switch (agg) {
     case Agg::kSum: return sum;
     case Agg::kMean: return sum / static_cast<double>(c.size());

@@ -128,11 +128,18 @@ void Device::copy_d2d(void* dst, const void* src, std::size_t bytes,
   if (memory_.size_of(dst) < bytes || memory_.size_of(src) < bytes)
     throw std::invalid_argument("copy_d2d: copy overruns an allocation");
   std::memmove(dst, src, bytes);
-  // On-device copies read+write global memory at full bandwidth.
-  const double dur =
-      2.0 * static_cast<double>(bytes) / timing_.spec().peak_bytes_per_s();
-  charge("memcpy_d2d", prof::EventKind::kMemcpyD2D, dur, stream,
+  charge("memcpy_d2d", prof::EventKind::kMemcpyD2D,
+         timing_.d2d_copy_seconds(bytes), stream,
          {{"bytes", static_cast<double>(bytes)}});
+}
+
+double Device::charge_kernel(const std::string& name, const WorkCounters& cost,
+                             int stream) {
+  const double duration =
+      timing_.kernel_seconds(KernelWork{cost.flops, cost.global_bytes});
+  charge(name, prof::EventKind::kKernel, duration, stream,
+         {{"flops", cost.flops}, {"bytes", cost.global_bytes}});
+  return duration;
 }
 
 void Device::charge(const std::string& name, prof::EventKind kind,

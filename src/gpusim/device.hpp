@@ -126,8 +126,16 @@ class Device {
                               const ThreadKernel& kernel,
                               LaunchOptions opts = {});
 
+  /// Charges a kernel that has no launch shape (work done on the host and
+  /// priced as one device kernel): records one kKernel event with flops and
+  /// bytes counters, priced by the timing model from @p cost alone — launch
+  /// overhead plus the roofline term, with no occupancy or issue floor.
+  /// Returns the modeled duration.
+  double charge_kernel(const std::string& name, const WorkCounters& cost,
+                       int stream = 0);
+
   /// Advances simulated time on @p stream by a known-cost operation and
-  /// records it (used to model library calls with analytic costs).
+  /// records it (API calls and transfers priced by the timing model).
   void charge(const std::string& name, prof::EventKind kind,
               double duration_s, int stream = 0,
               std::map<std::string, double> counters = {});

@@ -6,8 +6,6 @@ namespace sagesim::gpu {
 
 double TimingModel::kernel_seconds(const KernelWork& work) const {
   const double launch = spec_.launch_overhead_us * 1e-6;
-  if (work.threads == 0) return launch;
-
   const double occ = std::clamp(work.occupancy, 0.01, 1.0);
   const double lanes = std::clamp(work.lane_efficiency, 0.01, 1.0);
 
@@ -54,6 +52,18 @@ double TimingModel::peer_transfer_seconds(std::uint64_t bytes) const {
   // multi-GPU instances (same PCIe switch); model 1.5x the host link.
   return spec_.pcie_latency_us * 1e-6 +
          static_cast<double>(bytes) / (1.5 * spec_.pcie_bytes_per_s());
+}
+
+double TimingModel::d2d_copy_seconds(std::uint64_t bytes) const {
+  return 2.0 * static_cast<double>(bytes) / spec_.peak_bytes_per_s();
+}
+
+double TimingModel::page_fault_seconds(std::uint64_t pages,
+                                       std::uint64_t page_bytes) const {
+  const double per_page =
+      kPageFaultLatencyS +
+      static_cast<double>(page_bytes) / (0.5 * spec_.pcie_bytes_per_s());
+  return static_cast<double>(pages) * per_page;
 }
 
 }  // namespace sagesim::gpu

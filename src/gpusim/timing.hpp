@@ -48,8 +48,9 @@ class TimingModel {
   ///                 bytes / peak_bandwidth,
   ///                 sequential issue floor )
   ///
-  /// The issue floor charges each thread one cycle per ~4 flops of work so
-  /// kernels with almost no arithmetic still cost thread-issue time.
+  /// The issue floor charges each thread one issue slot, so kernels with
+  /// almost no arithmetic still cost thread-issue time.  Work with no
+  /// threads (a kernel priced from its totals alone) has no issue floor.
   double kernel_seconds(const KernelWork& work) const;
 
   /// Modeled host<->device transfer time for @p bytes.  Pinned host
@@ -62,6 +63,18 @@ class TimingModel {
   /// Modeled device<->device (peer) transfer time: assumes an NVLink-less
   /// PCIe peer path at the same link bandwidth.
   double peer_transfer_seconds(std::uint64_t bytes) const;
+
+  /// On-device copy: @p bytes read and written at full memory bandwidth.
+  double d2d_copy_seconds(std::uint64_t bytes) const;
+
+  /// Service latency of one unified-memory page fault.
+  static constexpr double kPageFaultLatencyS = 20e-6;
+
+  /// @p pages unified-memory demand faults of @p page_bytes each: each pays
+  /// its latency plus its own transfer at half link bandwidth, since fault
+  /// handling serializes with the copy (the Numba-UM papers' penalty).
+  double page_fault_seconds(std::uint64_t pages,
+                            std::uint64_t page_bytes) const;
 
   /// Fixed API-call overhead (alloc/free/sync), seconds.
   double api_overhead_seconds() const { return 1e-6; }

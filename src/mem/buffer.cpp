@@ -1,5 +1,6 @@
 #include "mem/buffer.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <sstream>
@@ -76,6 +77,14 @@ struct Buffer::Storage {
   gpu::Device* device{nullptr};
   std::uint64_t device_mem_id{0};
   TransferCounters transfers;
+  /// Managed placement only: per-page residency, true = on the device.
+  std::vector<bool> device_pages;
+
+  /// Moves managed pages [first, last] that are not yet on the side
+  /// @p to_device names, then charges and accounts the moved bytes: one
+  /// demand fault per page when @p fault, else one bulk prefetch.
+  void migrate(std::size_t first, std::size_t last, bool to_device,
+               bool fault, int stream);
 
   ~Storage() {
     if (ptr == nullptr) return;
@@ -116,6 +125,39 @@ void bump_d2h(TransferCounters& t, std::size_t bytes, bool pinned = false) {
 
 }  // namespace
 
+void Buffer::Storage::migrate(std::size_t first, std::size_t last,
+                              bool to_device, bool fault, int stream) {
+  std::size_t pages = 0;
+  std::size_t moved = 0;
+  for (std::size_t p = first; p <= last; ++p) {
+    if (device_pages[p] == to_device) continue;
+    device_pages[p] = to_device;
+    ++pages;
+    moved += std::min(kManagedPageBytes, bytes - p * kManagedPageBytes);
+  }
+  if (pages == 0) return;
+  const gpu::TimingModel& timing = device->timing();
+  // A fault moves whole pages; the migration engine DMAs a prefetch
+  // directly, at pinned-path bandwidth.
+  const double seconds =
+      fault ? timing.page_fault_seconds(pages,
+                                        std::min(kManagedPageBytes, bytes))
+            : timing.transfer_seconds(moved, /*pinned=*/true);
+  const char* name = fault       ? "um_fault_h2d"
+                     : to_device ? "um_prefetch_h2d"
+                                 : "um_prefetch_d2h";
+  device->charge(name,
+                 to_device ? prof::EventKind::kMemcpyH2D
+                           : prof::EventKind::kMemcpyD2H,
+                 seconds, stream,
+                 {{"bytes", static_cast<double>(moved)},
+                  {"pages", static_cast<double>(pages)}});
+  if (to_device)
+    bump_h2d(transfers, moved);
+  else
+    bump_d2h(transfers, moved);
+}
+
 Buffer Buffer::host(std::size_t bytes, bool zero) {
   if (bytes == 0) return Buffer{};
   Expected<void*> p = host_pool().allocate(bytes);
@@ -150,12 +192,15 @@ Expected<Buffer> Buffer::on_device(gpu::Device& device, std::size_t bytes,
 }
 
 Expected<Buffer> Buffer::managed(gpu::Device& device, std::size_t bytes) {
+  if (bytes == 0)
+    return Status::invalid_argument("Buffer::managed: zero-byte request");
   Expected<Buffer> b = on_device(device, bytes);
   if (!b) return b;
-  if (b->s_ != nullptr) {
-    b->s_->placement = Placement::kManaged;
-    std::memset(b->s_->ptr, 0, bytes);
-  }
+  Storage& s = *b->s_;
+  s.placement = Placement::kManaged;
+  s.device_pages.assign((bytes + kManagedPageBytes - 1) / kManagedPageBytes,
+                        false);
+  std::memset(s.ptr, 0, bytes);
   return b;
 }
 
@@ -181,10 +226,8 @@ Status Buffer::to_device(gpu::Device& device, int stream) {
           "Buffer::to_device: managed buffer belongs to device " +
           std::to_string(s.device->ordinal()));
     // Unified-memory prefetch: residency moves, the allocation does not.
-    device.charge("mem_prefetch_h2d", prof::EventKind::kMemcpyH2D,
-                  device.timing().transfer_seconds(s.bytes, true), stream,
-                  {{"bytes", static_cast<double>(s.bytes)}});
-    bump_h2d(s.transfers, s.bytes);
+    s.migrate(0, s.device_pages.size() - 1, /*to_device=*/true,
+              /*fault=*/false, stream);
     return {};
   }
   if (s.placement == Placement::kDevice) {
@@ -209,10 +252,8 @@ Status Buffer::to_host(int stream) {
   Storage& s = *s_;
   if (s.placement == Placement::kHost) return {};
   if (s.placement == Placement::kManaged) {
-    s.device->charge("mem_prefetch_d2h", prof::EventKind::kMemcpyD2H,
-                     s.device->timing().transfer_seconds(s.bytes, true),
-                     stream, {{"bytes", static_cast<double>(s.bytes)}});
-    bump_d2h(s.transfers, s.bytes);
+    s.migrate(0, s.device_pages.size() - 1, /*to_device=*/false,
+              /*fault=*/false, stream);
     return {};
   }
   Expected<void*> hp = host_pool().allocate(s.bytes);
@@ -296,6 +337,28 @@ Status Buffer::download(void* dst, std::size_t bytes, int stream) const {
     std::memcpy(dst, s.ptr, bytes);
   }
   return {};
+}
+
+Status Buffer::fault_to_device(std::size_t offset, std::size_t length,
+                               int stream) {
+  if (placement() != Placement::kManaged)
+    return Status::failed_precondition(
+        "Buffer::fault_to_device: only managed buffers fault");
+  Storage& s = *s_;
+  if (offset > s.bytes || length > s.bytes - offset)
+    return Status::out_of_range("Buffer::fault_to_device: range leaves the " +
+                                std::to_string(s.bytes) + "-byte buffer");
+  if (length == 0) return {};
+  s.migrate(offset / kManagedPageBytes,
+            (offset + length - 1) / kManagedPageBytes, /*to_device=*/true,
+            /*fault=*/true, stream);
+  return {};
+}
+
+std::size_t Buffer::device_resident_pages() const {
+  if (!s_) return 0;
+  return static_cast<std::size_t>(
+      std::count(s_->device_pages.begin(), s_->device_pages.end(), true));
 }
 
 TransferCounters Buffer::transfers() const {

@@ -34,8 +34,8 @@ namespace sagesim::mem {
 
 /// Where a Buffer's bytes currently live.  Managed mirrors CUDA unified
 /// memory: the allocation counts against device capacity and is reachable
-/// from both sides; to_device/to_host model prefetch-style migration (time
-/// and byte accounting) without reallocating.
+/// from both sides, and each page is resident on the host or the device
+/// (see to_device, to_host and fault_to_device); nothing reallocates.
 enum class Placement : std::uint8_t { kHost = 0, kDevice = 1, kManaged = 2 };
 
 const char* to_string(Placement p);
@@ -65,6 +65,9 @@ class Buffer {
   /// Alignment of host placements (device alignment follows DeviceMemory).
   static constexpr std::size_t kHostAlignment = 64;
 
+  /// Residency granularity of managed buffers (CUDA's UM page on x86).
+  static constexpr std::size_t kManagedPageBytes = std::size_t{2} << 20;
+
   /// Empty handle: no storage, size 0, host placement.
   Buffer() = default;
 
@@ -86,7 +89,8 @@ class Buffer {
                                     int stream = 0);
 
   /// Managed (unified-memory) buffer: counts against @p device's capacity,
-  /// host-reachable, zero-filled for determinism.
+  /// host-reachable, zero-filled, every page host-resident.  Fails with
+  /// kInvalidArgument for zero bytes and kResourceExhausted on OOM.
   static Expected<Buffer> managed(gpu::Device& device, std::size_t bytes);
 
   bool valid() const { return s_ != nullptr; }
@@ -126,11 +130,25 @@ class Buffer {
   /// No-op when already there.  Device-to-device goes through the host
   /// (no P2P in the model).  On allocation failure returns
   /// kResourceExhausted and leaves the buffer — including a host copy —
-  /// untouched.  Empty handles succeed trivially.
+  /// untouched.  Empty handles succeed trivially.  A managed buffer
+  /// prefetches instead: its host-resident pages move in one transfer at
+  /// pinned-link bandwidth (free when all are resident); another device is
+  /// kFailedPrecondition.
   Status to_device(gpu::Device& device, int stream = 0);
 
-  /// Moves the storage back to the host (D2H, accounted + timed).
+  /// Moves the storage back to the host (D2H, accounted + timed).  A
+  /// managed buffer prefetches its device-resident pages back.
   Status to_host(int stream = 0);
+
+  /// Demand-migrates the managed pages overlapping [offset, offset+length)
+  /// to the device, as a kernel touching them cold would: each host-resident
+  /// page pays TimingModel::page_fault_seconds.  kOutOfRange when the range
+  /// leaves the buffer, kFailedPrecondition when the buffer is not managed.
+  Status fault_to_device(std::size_t offset, std::size_t length,
+                         int stream = 0);
+
+  /// Managed pages resident on the device (0 for other placements).
+  std::size_t device_resident_pages() const;
 
   /// Deep copy with the same placement (device clones allocate on the same
   /// device and copy on-device; throws StatusError on OOM).  The clone's

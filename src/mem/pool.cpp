@@ -17,8 +17,9 @@ namespace sagesim::mem {
 namespace {
 
 /// Pools created through the host_pool()/device_pool() factories, for
-/// pool_report().  Entries are never removed: factory pools are leaked by
-/// design (buffers freed at static destruction time must still find them).
+/// pool_report() and flush_all_pools().  Factory pools are leaked by design
+/// (buffers freed at static destruction time must still find them); a
+/// retired device pool leaves the registry but is never deleted.
 std::mutex g_registry_mutex;
 std::vector<Pool*>& registry() {
   static std::vector<Pool*>* pools = new std::vector<Pool*>();
@@ -50,6 +51,33 @@ void resident_sub(std::uint64_t bytes) {
   g_resident_bytes.fetch_sub(bytes, std::memory_order_relaxed);
 }
 
+/// Device pools by DeviceMemory id.  The mutex is taken before
+/// g_registry_mutex; both are leaked like the pools.
+struct DevicePools {
+  std::mutex mutex;
+  std::unordered_map<std::uint64_t, Pool*> by_mem_id;
+};
+
+DevicePools& device_pools() {
+  static auto* pools = new DevicePools();
+  return *pools;
+}
+
+/// Retires every pool whose DeviceMemory died: flushes it, takes its live
+/// blocks (freed with the device) off the gauge, and drops it from the map
+/// and the registry.  Caller holds device_pools().mutex.
+void retire_dead_device_pools_locked() {
+  std::erase_if(device_pools().by_mem_id, [](const auto& entry) {
+    if (gpu::DeviceMemory::alive(entry.first)) return false;
+    Pool* pool = entry.second;
+    pool->flush();
+    resident_sub(pool->stats().bytes_live);
+    std::lock_guard lock(g_registry_mutex);
+    std::erase(registry(), pool);
+    return true;
+  });
+}
+
 }  // namespace
 
 std::uint64_t process_resident_bytes() {
@@ -61,6 +89,10 @@ std::uint64_t process_peak_resident_bytes() {
 }
 
 void reset_process_peak_resident_bytes() {
+  {
+    std::lock_guard lock(device_pools().mutex);
+    retire_dead_device_pools_locked();
+  }
   g_resident_peak_bytes.store(g_resident_bytes.load(std::memory_order_relaxed),
                               std::memory_order_relaxed);
 }
@@ -223,13 +255,13 @@ Pool& host_pool() {
 }
 
 Pool& device_pool(gpu::Device& device) {
-  static std::mutex* map_mutex = new std::mutex();
-  static auto* pools = new std::unordered_map<std::uint64_t, Pool*>();
   gpu::Device* dev = &device;
   const std::uint64_t mem_id = device.memory().id();
-  std::lock_guard lock(*map_mutex);
-  auto it = pools->find(mem_id);
-  if (it != pools->end()) return *it->second;
+  DevicePools& pools = device_pools();
+  std::lock_guard lock(pools.mutex);
+  auto it = pools.by_mem_id.find(mem_id);
+  if (it != pools.by_mem_id.end()) return *it->second;
+  retire_dead_device_pools_locked();
   auto* p = new Pool(
       "device" + std::to_string(device.ordinal()),
       [dev](std::size_t bytes) -> Expected<void*> {
@@ -249,7 +281,7 @@ Pool& device_pool(gpu::Device& device) {
       },
       pool_enabled_from_env());
   register_pool(p);
-  pools->emplace(mem_id, p);
+  pools.by_mem_id.emplace(mem_id, p);
   return *p;
 }
 

@@ -129,9 +129,12 @@ Pool& host_pool();
 
 /// The pool fronting @p device's DeviceMemory.  One pool per DeviceMemory
 /// *instance* (keyed by its unique id, not its address), created on first
-/// use and intentionally leaked: a pool whose device has died is simply
-/// never consulted again.  Allocation misses charge cudaMalloc API time to
-/// the device's stream 0, exactly like Device::device_malloc.
+/// use.  Once its DeviceMemory dies, the next pool creation or
+/// reset_process_peak_resident_bytes() retires it: its bytes leave the
+/// resident gauge and its pool_report() row goes, but the object is never
+/// deleted, so a pointer flush_all_pools() already copied stays valid.
+/// Allocation misses charge cudaMalloc API time to the device's stream 0,
+/// exactly like Device::device_malloc.
 Pool& device_pool(gpu::Device& device);
 
 /// Human-readable table of every pool created so far (host + per-device):
@@ -158,7 +161,8 @@ std::uint64_t process_resident_bytes();
 /// last reset_process_peak_resident_bytes().
 std::uint64_t process_peak_resident_bytes();
 
-/// Re-arms the process-wide peak to the current resident gauge.
+/// Retires the pools of dead devices (see device_pool()), then re-arms the
+/// process-wide peak to the current resident gauge.
 void reset_process_peak_resident_bytes();
 
 /// Flushes every registered factory pool's free lists back to upstream,

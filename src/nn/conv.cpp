@@ -167,13 +167,9 @@ tensor::Tensor Conv2d::backward(gpu::Device* dev, const tensor::Tensor& dy) {
 
   if (dev != nullptr) {
     accumulate_param_grads();
-    const double wgrad_flops = 2.0 * static_cast<double>(batch) *
-                               static_cast<double>(k_ * oh_ * ow_) *
-                               static_cast<double>(c_ * ks_ * ks_);
-    dev->charge("conv2d_wgrad", prof::EventKind::kKernel,
-                wgrad_flops / dev->spec().peak_flops() +
-                    dev->spec().launch_overhead_us * 1e-6,
-                0, {{"flops", wgrad_flops}});
+    dev->charge_kernel("conv2d_wgrad", {2.0 * static_cast<double>(batch) *
+                                        static_cast<double>(k_ * oh_ * ow_) *
+                                        static_cast<double>(c_ * ks_ * ks_)});
     const double flops_per = 2.0 * static_cast<double>(k_ * ks_ * ks_);
     dev->launch_linear("conv2d_dgrad", total, 256,
                        [&](const gpu::ThreadCtx& ctx) {

@@ -44,14 +44,10 @@ LossResult ce_impl(gpu::Device* dev, const tensor::Tensor& logits,
 
   // Charge the loss-and-grad pass as one light kernel (the softmax above is
   // already charged by ops::softmax_rows).
-  if (dev != nullptr) {
-    const double flops = 3.0 * static_cast<double>(count) *
-                         static_cast<double>(logits.cols());
-    dev->charge("cross_entropy", prof::EventKind::kKernel,
-                flops / dev->spec().peak_flops() +
-                    dev->spec().launch_overhead_us * 1e-6,
-                0, {{"flops", flops}});
-  }
+  if (dev != nullptr)
+    dev->charge_kernel("cross_entropy",
+                       {3.0 * static_cast<double>(count) *
+                        static_cast<double>(logits.cols())});
   return r;
 }
 
@@ -88,13 +84,8 @@ LossResult masked_mse(gpu::Device* dev, const tensor::Tensor& predictions,
     r.dlogits.at(t.row, t.col) = diff * inv;
   }
   r.loss = total / static_cast<double>(targets.size());
-  if (dev != nullptr) {
-    const double flops = 4.0 * static_cast<double>(targets.size());
-    dev->charge("mse_loss", prof::EventKind::kKernel,
-                flops / dev->spec().peak_flops() +
-                    dev->spec().launch_overhead_us * 1e-6,
-                0, {{"flops", flops}});
-  }
+  if (dev != nullptr)
+    dev->charge_kernel("mse_loss", {4.0 * static_cast<double>(targets.size())});
   return r;
 }
 

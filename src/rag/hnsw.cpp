@@ -233,11 +233,8 @@ Expected<SearchResults> HnswIndex::search_with_ef(gpu::Device* dev,
   if (dev != nullptr) {
     // The traversal ran on the host; charge the device analytically for the
     // distance evaluations, mirroring the IVF scan accounting.
-    const double flops = 2.0 * static_cast<double>(evals * dim_);
-    dev->charge("hnsw_search", prof::EventKind::kKernel,
-                flops / dev->spec().peak_flops() +
-                    dev->spec().launch_overhead_us * 1e-6,
-                0, {{"flops", flops}});
+    dev->charge_kernel("hnsw_search",
+                       {2.0 * static_cast<double>(evals * dim_)});
   }
   return out;
 }

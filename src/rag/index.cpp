@@ -283,11 +283,8 @@ Expected<SearchResults> IvfFlatIndex::search(gpu::Device* dev,
             ctx.add_flops(2.0 * static_cast<double>(d));
             ctx.add_bytes(2.0 * static_cast<double>(d) * sizeof(float));
           });
-      const double cen_flops = 2.0 * static_cast<double>(nlist_ * d);
-      dev->charge("ivf_centroid_score", prof::EventKind::kKernel,
-                  cen_flops / dev->spec().peak_flops() +
-                      dev->spec().launch_overhead_us * 1e-6,
-                  0, {{"flops", cen_flops}});
+      dev->charge_kernel("ivf_centroid_score",
+                         {2.0 * static_cast<double>(nlist_ * d)});
     } else {
       for (std::size_t i = 0; i < cand_ids.size(); ++i) score_one(i);
     }

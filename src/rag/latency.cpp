@@ -1,9 +1,9 @@
 #include "rag/latency.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <sstream>
 #include <stdexcept>
+
+#include "stats/descriptive.hpp"
 
 namespace sagesim::rag {
 
@@ -16,9 +16,7 @@ void LatencyTracker::record(double seconds) {
 double LatencyTracker::mean() const {
   if (samples_.empty())
     throw std::invalid_argument("LatencyTracker: no samples");
-  double s = 0.0;
-  for (double v : samples_) s += v;
-  return s / static_cast<double>(samples_.size());
+  return stats::mean(samples_);
 }
 
 double LatencyTracker::percentile(double p) const {
@@ -26,14 +24,7 @@ double LatencyTracker::percentile(double p) const {
     throw std::invalid_argument("LatencyTracker: no samples");
   if (p < 0.0 || p > 100.0)
     throw std::invalid_argument("LatencyTracker: percentile outside [0,100]");
-  std::vector<double> sorted = samples_;
-  std::sort(sorted.begin(), sorted.end());
-  if (sorted.size() == 1) return sorted.front();
-  const double pos = p / 100.0 * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+  return stats::quantile(samples_, p / 100.0);
 }
 
 double LatencyTracker::max() const { return percentile(100.0); }

@@ -71,14 +71,12 @@ tensor::Tensor RagPipeline::encode_query(const std::string& query) const {
 }
 
 double RagPipeline::generator_cost_s(std::size_t tokens) const {
-  // Each generated token scores the full vocabulary: ~2 flops per vocab
-  // entry per token on the generation device (or a 10x slower host path).
-  const double flops = 2.0 * static_cast<double>(tokens) *
-                       static_cast<double>(generator_.vocabulary().size());
-  if (dev_ != nullptr)
-    return flops / dev_->spec().peak_flops() +
-           static_cast<double>(tokens) * dev_->spec().launch_overhead_us * 1e-6;
-  return flops / 5e9;  // host scalar rate
+  if (dev_ == nullptr) return 0.0;
+  // Each generated token is one launch scoring the full vocabulary: ~2 flops
+  // per vocab entry.
+  const gpu::KernelWork token{
+      2.0 * static_cast<double>(generator_.vocabulary().size())};
+  return static_cast<double>(tokens) * dev_->timing().kernel_seconds(token);
 }
 
 Expected<std::vector<RagAnswer>> RagPipeline::answer_encoded(
@@ -91,18 +89,15 @@ Expected<std::vector<RagAnswer>> RagPipeline::answer_encoded(
         std::to_string(queries.size()) + "x" +
         std::to_string(config_.embed_dim));
 
-  // Batched retrieval: one sweep over the index.
+  // Batched retrieval: one sweep over the index.  Without a device nothing
+  // is modeled, so every stage time stays 0.
   const double t0 = dev_ != nullptr ? dev_->stream_time(0) : 0.0;
   auto hits = index_->search(dev_, encoded, config_.top_k);
   if (!hits.has_value()) return hits.status();
-  const double retrieve_total =
-      dev_ != nullptr
-          ? dev_->stream_time(0) - t0
-          : 2.0 * static_cast<double>(queries.size()) *
-                static_cast<double>(index_->size()) *
-                static_cast<double>(config_.embed_dim) / 5e9;
   const double retrieve_s =
-      retrieve_total / static_cast<double>(queries.size());
+      dev_ != nullptr ? (dev_->stream_time(0) - t0) /
+                            static_cast<double>(queries.size())
+                      : 0.0;
 
   std::vector<RagAnswer> answers;
   answers.reserve(queries.size());
@@ -137,19 +132,13 @@ Expected<std::vector<RagAnswer>> RagPipeline::answer_batch(
     std::copy(row.data(), row.data() + row.size(),
               q.data() + i * config_.embed_dim);
   }
-  double encode_s;
+  double encode_s = 0.0;
   if (dev_ != nullptr) {
     const double flops =
         20.0 * static_cast<double>(queries.size() * config_.embed_dim);
-    encode_s = flops / dev_->spec().peak_flops() +
-               dev_->spec().launch_overhead_us * 1e-6;
-    dev_->charge("rag_encode", prof::EventKind::kKernel, encode_s, 0,
-                 {{"flops", flops}});
-  } else {
-    encode_s = 20.0 * static_cast<double>(queries.size() * config_.embed_dim) /
-               5e9;
+    encode_s = dev_->charge_kernel("rag_encode", {flops}) /
+               static_cast<double>(queries.size());
   }
-  encode_s /= static_cast<double>(queries.size());
 
   auto answers = answer_encoded(q, queries);
   if (!answers.has_value()) return answers.status();

@@ -1,7 +1,9 @@
 // End-to-end RAG pipeline: encode -> retrieve -> generate, with the
 // per-stage latency breakdown the Week-14 "real-time inference" lab
 // optimizes.  Latencies are simulated seconds from the device timeline
-// (retrieval kernels) plus analytic generator cost.
+// (encoding and retrieval kernels) plus the generator's per-token launches,
+// all priced by the device's timing model.  A pipeline without a device
+// models no device time: its stage times are 0.
 //
 // The answer surface is Status-first (Expected<...>; kInvalidArgument on
 // misuse) and deterministic: every answer carries a stable query id (FNV-1a
@@ -65,8 +67,9 @@ class RagPipeline {
   /// Builds the pipeline over @p corpus with the given index.  The index
   /// must already be trained if it requires training; the pipeline fits the
   /// encoder and generator and fills the index.  @p dev may be null for the
-  /// CPU baseline.  Throws std::invalid_argument on construction misuse
-  /// (null index, dim mismatch, empty corpus, top_k outside [1, corpus]).
+  /// CPU baseline, which models no time.  Throws std::invalid_argument on
+  /// construction misuse (null index, dim mismatch, empty corpus, top_k
+  /// outside [1, corpus]).
   RagPipeline(const Corpus& corpus, std::unique_ptr<VectorIndex> index,
               gpu::Device* dev, const RagConfig& config = {});
 

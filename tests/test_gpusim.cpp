@@ -462,86 +462,6 @@ TEST(Executor, HandlesZeroAndOne) {
   EXPECT_EQ(count, 1);
 }
 
-// --- Unified memory -----------------------------------------------------------
-
-#include "gpusim/unified.hpp"
-
-TEST(UnifiedMemory, PagesStartHostResident) {
-  gpu::Device dev(0, gpu::spec::t4(), timeline());
-  gpu::ManagedBuffer<float> buf(dev, 1 << 20);  // 4 MiB -> 2 pages
-  EXPECT_EQ(buf.allocation().page_count(), 2u);
-  EXPECT_EQ(buf.allocation().device_resident_pages(), 0u);
-  EXPECT_EQ(buf.allocation().page_location(0), gpu::PageLocation::kHost);
-}
-
-TEST(UnifiedMemory, DemandFaultMigratesTouchedPagesOnly) {
-  gpu::Device dev(0, gpu::spec::t4(), timeline());
-  gpu::ManagedBuffer<float> buf(dev, 4u << 20);  // 16 MiB -> 8 pages
-  // Touch the first 1 MiB: one page.
-  buf.fault_to_device(0, 1u << 18);
-  EXPECT_EQ(buf.allocation().device_resident_pages(), 1u);
-  EXPECT_EQ(buf.allocation().total_faults(), 1u);
-  // Touching it again is free.
-  buf.fault_to_device(0, 1u << 18);
-  EXPECT_EQ(buf.allocation().total_faults(), 1u);
-}
-
-TEST(UnifiedMemory, PrefetchMovesEverythingInOneTransfer) {
-  auto tl = timeline();
-  gpu::Device dev(0, gpu::spec::t4(), tl);
-  gpu::ManagedBuffer<float> buf(dev, 4u << 20);
-  const auto moved = buf.allocation().prefetch(gpu::PageLocation::kDevice);
-  EXPECT_EQ(moved, 8u);
-  EXPECT_EQ(buf.allocation().device_resident_pages(), 8u);
-  EXPECT_EQ(buf.allocation().total_faults(), 0u);  // no demand faults
-  const auto events = tl->snapshot(sagesim::prof::EventKind::kMemcpyH2D);
-  ASSERT_FALSE(events.empty());
-  EXPECT_EQ(events.back().name, "um_prefetch_h2d");
-}
-
-TEST(UnifiedMemory, DemandPagingCostsMoreThanPrefetch) {
-  auto tl1 = timeline();
-  gpu::Device dev1(0, gpu::spec::t4(), tl1);
-  gpu::ManagedBuffer<float> faulty(dev1, 16u << 20);  // 64 MiB
-  faulty.fault_to_device(0, faulty.size());
-  const double fault_time = dev1.stream_time(0);
-
-  auto tl2 = timeline();
-  gpu::Device dev2(0, gpu::spec::t4(), tl2);
-  gpu::ManagedBuffer<float> prefetched(dev2, 16u << 20);
-  prefetched.prefetch_to_device();
-  const double prefetch_time = dev2.stream_time(0);
-
-  EXPECT_GT(fault_time, 1.5 * prefetch_time);  // fault latency dominates
-}
-
-TEST(UnifiedMemory, RoundTripMigration) {
-  gpu::Device dev(0, gpu::spec::t4(), timeline());
-  gpu::ManagedBuffer<float> buf(dev, 1u << 20);
-  buf.prefetch_to_device();
-  EXPECT_EQ(buf.allocation().device_resident_pages(), 2u);
-  buf.prefetch_to_host();
-  EXPECT_EQ(buf.allocation().device_resident_pages(), 0u);
-  // Data is real memory throughout.
-  buf.data()[12345] = 7.5f;
-  EXPECT_FLOAT_EQ(buf.data()[12345], 7.5f);
-}
-
-TEST(UnifiedMemory, ValidatesRanges) {
-  gpu::Device dev(0, gpu::spec::t4(), timeline());
-  gpu::ManagedBuffer<float> buf(dev, 1024);
-  EXPECT_THROW(buf.allocation().fault_range(gpu::PageLocation::kDevice, 0,
-                                            1 << 20),
-               std::out_of_range);
-  EXPECT_THROW(gpu::ManagedAllocation(dev, 0), std::invalid_argument);
-  EXPECT_THROW(buf.allocation().page_location(99), std::out_of_range);
-}
-
-TEST(UnifiedMemory, CountsAgainstDeviceCapacity) {
-  gpu::Device dev(0, gpu::spec::test_tiny(), timeline());  // 64 MiB
-  EXPECT_THROW(gpu::ManagedAllocation(dev, 128u << 20), gpu::DeviceOutOfMemory);
-}
-
 TEST(Device, PageableTransferSlowerThanPinned) {
   gpu::Device dev(0, gpu::spec::test_tiny(), timeline());
   gpu::DeviceBuffer<float> buf(dev, 1 << 20);

@@ -7,6 +7,7 @@
 // bytes, blocks and threads_per_block on every kernel trace event.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <functional>
@@ -16,12 +17,17 @@
 #include <vector>
 
 #include "core/distributed_gcn.hpp"
+#include "dataframe/dataframe.hpp"
 #include "ddp/grad_sync.hpp"
 #include "dflow/collectives.hpp"
 #include "gpusim/device_manager.hpp"
 #include "graph/generators.hpp"
 #include "graph/spmm.hpp"
+#include "nn/conv.hpp"
+#include "nn/loss.hpp"
 #include "nn/optim.hpp"
+#include "rag/hnsw.hpp"
+#include "rag/pipeline.hpp"
 #include "tensor/ops.hpp"
 
 namespace gpu = sagesim::gpu;
@@ -32,6 +38,8 @@ namespace dflow = sagesim::dflow;
 namespace ddp = sagesim::ddp;
 namespace core = sagesim::core;
 namespace prof = sagesim::prof;
+namespace df = sagesim::df;
+namespace rag = sagesim::rag;
 using sagesim::stats::Rng;
 using sagesim::tensor::Tensor;
 
@@ -325,6 +333,101 @@ TEST(LaunchPricing, InvalidLaunchWritesNothing) {
     EXPECT_FALSE(wrote);
   }
   EXPECT_TRUE(dm.timeline().empty());
+}
+
+// Kernels with no launch shape (losses, the conv weight gradient, dataframe
+// aggregates, index search, query encoding) are priced by
+// Device::charge_kernel.  Each is driven through its public entry with fixed
+// inputs; its event's duration is pinned in hex float, with its counters.
+TEST(LaunchPricing, RooflineChargesArePinned) {
+  gpu::DeviceManager dm(1, gpu::spec::t4());
+  gpu::Device* dev = &dm.device(0);
+  Rng rng(91);
+
+  Tensor logits(6, 5);
+  logits.init_uniform(rng, -2, 2);
+  const std::vector<int> labels{0, 1, 2, 3, 4, 0};
+  nn::softmax_cross_entropy(dev, logits, labels);
+  const std::vector<nn::MseTarget> targets{
+      {0, 0, 1.0f}, {1, 2, -0.5f}, {5, 4, 0.25f}};
+  nn::masked_mse(dev, logits, targets);
+
+  nn::Conv2d conv(2, 6, 6, 3, 3, 1, rng);
+  Tensor x(4, 2 * 6 * 6), dy(4, conv.out_features());
+  x.init_uniform(rng, -1, 1);
+  dy.init_uniform(rng, -1, 1);
+  conv.forward(dev, x, /*train=*/true);
+  conv.backward(dev, dy);
+
+  const df::DataFrame left({df::Column("key", std::vector<std::int64_t>{
+                                                  1, 2, 1, 3, 2, 1, 4}),
+                            df::Column("v", std::vector<double>{
+                                                0.5, 1.5, 2.5, 3.5, 4.5,
+                                                5.5, 6.5})});
+  const df::DataFrame right(
+      {df::Column("key", std::vector<std::int64_t>{1, 2, 5}),
+       df::Column("w", std::vector<double>{10.0, 20.0, 50.0})});
+  left.group_by(dev, "key", "v", df::Agg::kSum);
+  left.join(dev, right, "key");
+  left.reduce(dev, "v", df::Agg::kMean);
+
+  rag::SyntheticCorpusParams params;
+  params.num_docs = 120;
+  params.num_topics = 6;
+  const auto synth = rag::synthetic_corpus(params, rng);
+  rag::TfIdfEncoder enc(64);
+  enc.fit(synth.corpus);
+  const Tensor vectors = enc.encode_corpus(synth.corpus);
+  const Tensor query = enc.encode(rag::synthetic_query(params, 2, rng));
+  rag::IvfFlatIndex ivf(64, 8, 2);
+  ivf.train(nullptr, vectors);
+  ivf.add(vectors);
+  ASSERT_TRUE(ivf.search(dev, query, 5));
+  rag::HnswIndex hnsw(64);
+  hnsw.add(vectors);
+  ASSERT_TRUE(hnsw.search_with_ef(dev, query, 5, 32));
+
+  rag::RagConfig cfg;
+  cfg.embed_dim = 64;
+  rag::RagPipeline pipeline(synth.corpus,
+                            std::make_unique<rag::BruteForceIndex>(64), dev,
+                            cfg);
+  const auto answers = pipeline.answer_batch(
+      {rag::synthetic_query(params, 0, rng),
+       rag::synthetic_query(params, 4, rng)});
+  ASSERT_TRUE(answers);
+
+  struct Pinned {
+    const char* name;
+    double duration_s, flops, bytes;
+  };
+  const Pinned pinned[] = {
+      {"cross_entropy", 0x1.92a767b05b70ep-18, 90, 0},
+      {"mse_loss", 0x1.92a73d8cb228fp-18, 12, 0},
+      {"conv2d_wgrad", 0x1.92c808febee66p-18, 15552, 0},
+      {"df_groupby", 0x1.92ad3a6205ec7p-18, 21, 112},
+      {"df_hash_join", 0x1.92afce170258bp-18, 0, 160},
+      {"df_reduce", 0x1.92aa38b98a18ep-18, 7, 56},
+      {"ivf_centroid_score", 0x1.92a96047af7f4p-18, 1024, 0},
+      {"hnsw_search", 0x1.92bf4190cfeabp-18, 11392, 0},
+      {"rag_encode", 0x1.92ac9e19a1565p-18, 2560, 0},
+  };
+  const auto events = dm.timeline().snapshot(prof::EventKind::kKernel);
+  for (const Pinned& p : pinned) {
+    SCOPED_TRACE(p.name);
+    const auto named = [&](const prof::TraceEvent& e) {
+      return e.name == p.name;
+    };
+    ASSERT_EQ(std::count_if(events.begin(), events.end(), named), 1);
+    const auto it = std::find_if(events.begin(), events.end(), named);
+    EXPECT_EQ(it->duration_s, p.duration_s) << std::hexfloat << it->duration_s;
+    EXPECT_EQ(it->counters.at("flops"), p.flops);
+    EXPECT_EQ(it->counters.at("bytes"), p.bytes);
+  }
+  // Generation is priced as one launch per token, on no timeline.
+  for (const rag::RagAnswer& a : *answers)
+    EXPECT_EQ(a.generate_s, 0x1.f753a4173b379p-14)
+        << std::hexfloat << a.generate_s;
 }
 
 // Modeled seconds of Algorithm 1 on a small graph, pinned in hex float.

@@ -1,11 +1,15 @@
 // Unit tests for the mem data plane: size-class pooling allocator, Buffer
-// placement transitions, transfer accounting, and TypedBuffer semantics.
+// placement transitions, transfer accounting, unified-memory page
+// residency, and TypedBuffer semantics.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <numeric>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "gpusim/device_manager.hpp"
@@ -358,6 +362,118 @@ TEST(Buffer, ManagedPrefetchAccountsWithoutMoving) {
   EXPECT_EQ(s.code(), ErrorCode::kFailedPrecondition);
 }
 
+// --- unified memory ----------------------------------------------------------
+
+namespace {
+
+constexpr std::size_t kPage = mem::Buffer::kManagedPageBytes;
+
+/// The events named @p name on @p dm's timeline.
+std::vector<prof::TraceEvent> events_named(gpu::DeviceManager& dm,
+                                           const std::string& name) {
+  std::vector<prof::TraceEvent> out;
+  for (auto& e : dm.timeline().snapshot())
+    if (e.name == name) out.push_back(std::move(e));
+  return out;
+}
+
+}  // namespace
+
+TEST(UnifiedMemory, PagesStartHostResident) {
+  gpu::DeviceManager dm(1, gpu::spec::t4());
+  mem::Buffer buf = mem::Buffer::managed(dm.device(0), 2 * kPage).value();
+  EXPECT_EQ(buf.device_resident_pages(), 0u);
+  ASSERT_TRUE(buf.to_device(dm.device(0)).ok());
+  EXPECT_EQ(buf.device_resident_pages(), 2u);
+}
+
+TEST(UnifiedMemory, DemandFaultMigratesTouchedPagesOnly) {
+  gpu::DeviceManager dm(1, gpu::spec::t4());
+  mem::Buffer buf = mem::Buffer::managed(dm.device(0), 8 * kPage).value();
+  // Touch the first 1 MiB: one page.
+  ASSERT_TRUE(buf.fault_to_device(0, 1u << 20).ok());
+  EXPECT_EQ(buf.device_resident_pages(), 1u);
+  auto faults = events_named(dm, "um_fault_h2d");
+  ASSERT_EQ(faults.size(), 1u);
+  EXPECT_EQ(faults[0].counters.at("pages"), 1.0);
+  EXPECT_EQ(faults[0].counters.at("bytes"), static_cast<double>(kPage));
+  EXPECT_EQ(buf.transfers().h2d_bytes, kPage);
+  // Touching it again is free.
+  ASSERT_TRUE(buf.fault_to_device(0, 1u << 20).ok());
+  EXPECT_EQ(events_named(dm, "um_fault_h2d").size(), 1u);
+  EXPECT_EQ(buf.transfers().h2d_count, 1u);
+}
+
+TEST(UnifiedMemory, PrefetchMovesEverythingInOneTransfer) {
+  gpu::DeviceManager dm(1, gpu::spec::t4());
+  mem::Buffer buf = mem::Buffer::managed(dm.device(0), 8 * kPage).value();
+  ASSERT_TRUE(buf.to_device(dm.device(0)).ok());
+  EXPECT_EQ(buf.device_resident_pages(), 8u);
+  EXPECT_TRUE(events_named(dm, "um_fault_h2d").empty());  // no demand faults
+  const auto h2d = dm.timeline().snapshot(prof::EventKind::kMemcpyH2D);
+  ASSERT_EQ(h2d.size(), 1u);
+  EXPECT_EQ(h2d.back().name, "um_prefetch_h2d");
+  EXPECT_EQ(h2d.back().counters.at("pages"), 8.0);
+  // Prefetching a resident buffer again moves nothing and costs nothing.
+  const double t = dm.device(0).stream_time(0);
+  ASSERT_TRUE(buf.to_device(dm.device(0)).ok());
+  EXPECT_EQ(dm.device(0).stream_time(0), t);
+  EXPECT_EQ(buf.transfers().h2d_count, 1u);
+}
+
+TEST(UnifiedMemory, DemandPagingCostsMoreThanPrefetch) {
+  gpu::DeviceManager dm1(1, gpu::spec::t4());
+  mem::Buffer faulty = mem::Buffer::managed(dm1.device(0), 64u << 20).value();
+  const double t1 = dm1.device(0).stream_time(0);
+  ASSERT_TRUE(faulty.fault_to_device(0, faulty.size_bytes()).ok());
+  const double fault_time = dm1.device(0).stream_time(0) - t1;
+
+  gpu::DeviceManager dm2(1, gpu::spec::t4());
+  mem::Buffer prefetched =
+      mem::Buffer::managed(dm2.device(0), 64u << 20).value();
+  const double t2 = dm2.device(0).stream_time(0);
+  ASSERT_TRUE(prefetched.to_device(dm2.device(0)).ok());
+  const double prefetch_time = dm2.device(0).stream_time(0) - t2;
+
+  EXPECT_GT(fault_time, 1.5 * prefetch_time);  // fault latency dominates
+}
+
+TEST(UnifiedMemory, RoundTripMigration) {
+  gpu::DeviceManager dm(1, gpu::spec::t4());
+  mem::Buffer buf = mem::Buffer::managed(dm.device(0), 2 * kPage).value();
+  ASSERT_TRUE(buf.to_device(dm.device(0)).ok());
+  EXPECT_EQ(buf.device_resident_pages(), 2u);
+  ASSERT_TRUE(buf.to_host().ok());
+  EXPECT_EQ(buf.device_resident_pages(), 0u);
+  EXPECT_EQ(buf.transfers().d2h_bytes, 2 * kPage);
+  // Data is real memory throughout.
+  buf.view<float>()[12345] = 7.5f;
+  EXPECT_FLOAT_EQ(buf.view<float>()[12345], 7.5f);
+}
+
+TEST(UnifiedMemory, ValidatesRanges) {
+  gpu::DeviceManager dm(1, gpu::spec::t4());
+  mem::Buffer buf = mem::Buffer::managed(dm.device(0), 4096).value();
+  EXPECT_EQ(buf.fault_to_device(0, 1 << 20).code(), ErrorCode::kOutOfRange);
+  // offset + length wraps around; the check must not.
+  EXPECT_EQ(buf.fault_to_device(1, SIZE_MAX).code(), ErrorCode::kOutOfRange);
+  EXPECT_EQ(buf.fault_to_device(99 * kPage, 1).code(),
+            ErrorCode::kOutOfRange);
+  EXPECT_EQ(buf.device_resident_pages(), 0u);
+  ASSERT_TRUE(buf.fault_to_device(4096, 0).ok());  // empty range at the end
+  EXPECT_EQ(mem::Buffer::managed(dm.device(0), 0).status().code(),
+            ErrorCode::kInvalidArgument);
+  mem::Buffer host = mem::Buffer::host(4096);
+  EXPECT_EQ(host.fault_to_device(0, 4096).code(),
+            ErrorCode::kFailedPrecondition);
+}
+
+TEST(UnifiedMemory, CountsAgainstDeviceCapacity) {
+  gpu::DeviceManager dm(1, gpu::spec::test_tiny());  // 64 MiB
+  EXPECT_EQ(mem::Buffer::managed(dm.device(0), 128u << 20).status().code(),
+            ErrorCode::kResourceExhausted);
+}
+
 TEST(Buffer, CloneIsDeepAndStartsFreshCounters) {
   gpu::DeviceManager dm(1, gpu::spec::test_tiny());
   mem::Buffer a = mem::Buffer::host(64);
@@ -483,6 +599,30 @@ TEST(DevicePool, FreshDevicesGetFreshPools) {
   auto b = mem::Buffer::on_device(dm2.device(0), 2048);
   ASSERT_TRUE(b);
   EXPECT_EQ(b->view<std::uint8_t>().size(), 2048u);
+}
+
+TEST(DevicePool, DeadDevicesLeaveTheResidencyGauge) {
+  // A device pool outlives its device.  Once the device is gone, the bytes
+  // its pool cached or handed out must leave the process gauge; otherwise
+  // every repetition that builds a fresh device raises the floor the peak
+  // is re-armed to.
+  mem::reset_process_peak_resident_bytes();
+  const std::uint64_t before = mem::process_resident_bytes();
+  std::optional<mem::Buffer> survivor;
+  {
+    gpu::DeviceManager dm(1, gpu::spec::test_tiny());
+    ASSERT_TRUE(mem::Buffer::on_device(dm.device(0), 2u << 20));  // cached
+    survivor = mem::Buffer::on_device(dm.device(0), 1u << 20).value();
+    EXPECT_EQ(mem::process_resident_bytes(), before + (3u << 20));
+    EXPECT_NE(mem::pool_report().find("device0"), std::string::npos);
+  }
+  mem::reset_process_peak_resident_bytes();
+  EXPECT_EQ(mem::process_resident_bytes(), before);
+  EXPECT_EQ(mem::process_peak_resident_bytes(), before);
+  EXPECT_EQ(mem::pool_report().find("device0"), std::string::npos);
+  // The survivor's DeviceMemory is gone: its block is not returned twice.
+  survivor.reset();
+  EXPECT_EQ(mem::process_resident_bytes(), before);
 }
 
 TEST(Reports, TablesRenderWithoutCrashing) {

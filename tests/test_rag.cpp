@@ -409,7 +409,7 @@ TEST(Pipeline, CpuFallbackWorks) {
                             nullptr, cfg);
   const auto a = pipeline.answer(rag::synthetic_query(p, 1, rng)).value();
   EXPECT_FALSE(a.text.empty());
-  EXPECT_GT(a.total_s(), 0.0);
+  EXPECT_EQ(a.total_s(), 0.0);  // no device, no modeled time
 }
 
 // --- latency tracker -----------------------------------------------------------
