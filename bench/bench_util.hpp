@@ -42,7 +42,6 @@ struct RunInfo {
   unsigned workers{0};       ///< effective pool size for the run
   unsigned cpus_online{0};   ///< hardware threads actually available
   const char* isa{""};       ///< "avx2" / "portable" dispatch choice
-  bool fast_math{false};     ///< FMA kernels enabled (tolerance-only mode)
   std::uint64_t tune_hits{0}, tune_misses{0};
   bool tune_loaded{false};   ///< a SAGESIM_TUNE_CACHE file was read
 };
@@ -52,7 +51,6 @@ inline RunInfo run_info(unsigned workers) {
   info.workers = workers;
   info.cpus_online = std::thread::hardware_concurrency();
   info.isa = sagesim::compute::isa_name();
-  info.fast_math = sagesim::compute::fast_math();
   const auto st = sagesim::compute::Autotuner::shared().stats();
   info.tune_hits = st.hits;
   info.tune_misses = st.misses;
@@ -64,10 +62,9 @@ inline RunInfo run_info(unsigned workers) {
 inline void json_run_info(std::FILE* f, const RunInfo& info) {
   std::fprintf(f,
                "  \"run\": {\"workers\": %u, \"cpus_online\": %u, "
-               "\"isa\": \"%s\", \"fast_math\": %s, \"tune_hits\": %llu, "
+               "\"isa\": \"%s\", \"tune_hits\": %llu, "
                "\"tune_misses\": %llu, \"tune_cache_loaded\": %s}",
                info.workers, info.cpus_online, info.isa,
-               info.fast_math ? "true" : "false",
                static_cast<unsigned long long>(info.tune_hits),
                static_cast<unsigned long long>(info.tune_misses),
                info.tune_loaded ? "true" : "false");

@@ -164,7 +164,7 @@ int main(int argc, char** argv) {
               "bucket %zu MiB\n",
               shape.params, shape.elems,
               shape.params * shape.elems * sizeof(float) / 1e6,
-              ddp::default_bucket_bytes() >> 20);
+              ddp::kDefaultBucketBytes >> 20);
 
   struct Row {
     std::size_t ranks;

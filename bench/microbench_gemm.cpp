@@ -135,10 +135,17 @@ int main(int argc, char** argv) {
       b.init_uniform(rng, -1.0f, 1.0f);
 
       Row row{sh.m, sh.n, sh.k, 0, 0, 0, 0};
-      ops::set_host_backend(ops::HostBackend::kNaive);
+      ops::detail::GemmSpec spec;
+      spec.a = a.data();
+      spec.b = b.data();
+      spec.c = out.data();
+      spec.m = sh.m;
+      spec.n = sh.n;
+      spec.k = sh.k;
+      spec.lda = sh.k;
+      spec.ldb = sh.n;
       row.naive_s =
-          min_seconds(reps, [&] { ops::gemm(nullptr, a, b, out); });
-      ops::set_host_backend(ops::HostBackend::kBlocked);
+          min_seconds(reps, [&] { ops::detail::gemm_host_naive(spec); });
       row.blocked_s =
           min_seconds(reps, [&] { ops::gemm(nullptr, a, b, out); });
 
@@ -188,7 +195,6 @@ int main(int argc, char** argv) {
         b(scale_shape.k, scale_shape.n), out(scale_shape.m, scale_shape.n);
     a.init_uniform(rng, -1.0f, 1.0f);
     b.init_uniform(rng, -1.0f, 1.0f);
-    ops::set_host_backend(ops::HostBackend::kBlocked);
     for (const unsigned w : sweep) {
       gpu::Executor ex(w);
       compute::set_executor(&ex);

@@ -36,8 +36,7 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 }
 
 /// A pool over the plain host heap; @p enabled false makes every request a
-/// real malloc/free pair — the SAGESIM_MEM_POOL=off configuration, built
-/// locally so the bench does not depend on the environment.
+/// real malloc/free pair — the unpooled baseline.
 mem::Pool make_heap_pool(const std::string& name, bool enabled) {
   return mem::Pool(
       name,

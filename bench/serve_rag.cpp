@@ -188,12 +188,6 @@ rag::ServeOptions serial_options() {
   return o;
 }
 
-rag::ServeOptions serving_options() {
-  // Defaults (batch 16, 200 us delay, caches on) unless the SAGESIM_RAG_*
-  // knobs override them — the serial control above stays pinned so the
-  // comparison is always against the same baseline.
-  return rag::ServeOptions::from_env();
-}
 
 void print_row(const char* mode, unsigned workers, const LoadResult& r) {
   std::printf("%10s %8u %10.0f %10.3f %10.3f %9.0f%% %8llu\n", mode, workers,
@@ -318,7 +312,7 @@ int main(int argc, char** argv) {
     entries.push_back({"closed", "serial", w, closed_serial});
 
     auto served_pipe = make_pipeline();
-    const auto closed_served = closed_loop(*served_pipe, serving_options(),
+    const auto closed_served = closed_loop(*served_pipe, rag::ServeOptions{},
                                            &ex.scheduler(), requests, 4);
     print_row("batched", w, closed_served);
     entries.push_back({"closed", "batched", w, closed_served});
@@ -338,7 +332,7 @@ int main(int argc, char** argv) {
     entries.push_back({"open", "serial", w, open_serial});
 
     auto open_served_pipe = make_pipeline();
-    const auto open_served = open_loop(*open_served_pipe, serving_options(),
+    const auto open_served = open_loop(*open_served_pipe, rag::ServeOptions{},
                                        &ex.scheduler(), requests, offered);
     print_row("batched", w, open_served);
     entries.push_back({"open", "batched", w, open_served});

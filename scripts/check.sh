@@ -37,6 +37,22 @@ if grep -rnE 'peak_flops\(\)|peak_bytes_per_s\(\)|pcie_bytes_per_s\(\)|launch_ov
 fi
 echo "one pricing path"
 
+step "static: configuration is code"
+# Settings are API fields, not environment variables: only the worker pool
+# size, the tuning-cache path, the warp-fidelity lab mode and the fault lab
+# read the environment.  And no build flag may trade the bit-identity
+# contract (ascending-k mul-add chains) for speed.
+if grep -rln getenv src |
+    grep -vxE 'src/(runtime/(scheduler|fault)|compute/autotuner|gpusim/warp)\.cpp'; then
+  echo "error: new environment reader in src/ (add an API field instead)"
+  exit 1
+fi
+if grep -rnE --include=CMakeLists.txt -e '-ffast-math|-march=native' .; then
+  echo "error: -ffast-math / -march=native in a CMakeLists.txt (breaks bit-identity)"
+  exit 1
+fi
+echo "configuration is code"
+
 step "tier-1: configure + build"
 cmake -B build -S . >/dev/null
 cmake --build build -j "$JOBS"

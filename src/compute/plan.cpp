@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <cstdlib>
 #include <deque>
 #include <exception>
 #include <memory>
@@ -15,38 +14,34 @@
 
 namespace sagesim::compute {
 
-std::size_t Plan::add(std::function<void()> fn, std::vector<std::size_t> deps,
-                      int lane) {
+std::size_t Plan::add(std::function<void()> fn, std::vector<std::size_t> deps) {
   for (const std::size_t d : deps)
     if (d >= nodes_.size())
       throw std::invalid_argument("Plan::add: dep " + std::to_string(d) +
                                   " is not an earlier node of '" + name_ +
                                   "'");
-  nodes_.push_back(PlanNode{std::move(fn), std::move(deps), lane});
+  nodes_.push_back(PlanNode{std::move(fn), std::move(deps)});
   return nodes_.size() - 1;
 }
 
 namespace {
 
-// Heap-allocated so helper tasks (and pinned-node wrappers) can outlive the
-// caller's stack frame: a helper woken after the plan finished touches only
-// this state, never the caller-owned Plan.
+// Heap-allocated so helper tasks can outlive the caller's stack frame: a
+// helper woken after the plan finished touches only this state, never the
+// caller-owned Plan.
 struct RunState {
   const std::vector<PlanNode>* nodes{nullptr};
-  runtime::Scheduler* sched{nullptr};
   std::size_t total{0};
 
   std::mutex mutex;
   std::condition_variable cv;
   std::vector<int> pending;                 ///< deps left, guarded by mutex
   std::vector<std::vector<std::size_t>> children;
-  std::deque<std::size_t> ready;            ///< stealable ready nodes
+  std::deque<std::size_t> ready;            ///< ready, unclaimed nodes
   std::size_t finished{0};
   std::exception_ptr first_error;           ///< guarded by mutex
   std::atomic<bool> aborted{false};
 };
-
-void submit_pinned(const std::shared_ptr<RunState>& state, std::size_t idx);
 
 /// Runs node @p idx (body skipped after an abort), then retires it:
 /// decrements children's dep counts, queues newly-ready nodes, and signals
@@ -61,35 +56,16 @@ void run_one(const std::shared_ptr<RunState>& state, std::size_t idx) {
       state->aborted.store(true, std::memory_order_release);
     }
   }
-  std::vector<std::size_t> pinned_ready;
-  {
-    std::lock_guard lock(state->mutex);
-    if (error && !state->first_error) state->first_error = error;
-    for (const std::size_t c : state->children[idx]) {
-      if (--state->pending[c] == 0) {
-        if ((*state->nodes)[c].lane >= 0)
-          pinned_ready.push_back(c);
-        else
-          state->ready.push_back(c);
-      }
-    }
-    ++state->finished;
-    if (state->finished == state->total || !state->ready.empty())
-      state->cv.notify_all();
-  }
-  for (const std::size_t c : pinned_ready) submit_pinned(state, c);
+  std::lock_guard lock(state->mutex);
+  if (error && !state->first_error) state->first_error = error;
+  for (const std::size_t c : state->children[idx])
+    if (--state->pending[c] == 0) state->ready.push_back(c);
+  ++state->finished;
+  if (state->finished == state->total || !state->ready.empty())
+    state->cv.notify_all();
 }
 
-void submit_pinned(const std::shared_ptr<RunState>& state, std::size_t idx) {
-  runtime::SubmitOptions opts;
-  opts.lane = (*state->nodes)[idx].lane;
-  state->sched->submit_any(std::move(opts), [state, idx]() -> std::any {
-    run_one(state, idx);
-    return {};
-  });
-}
-
-/// Claim loop shared by the calling thread and the stealable helper tasks:
+/// Claim loop shared by the calling thread and the helper tasks:
 /// pop ready nodes until every node of the plan has retired.
 void drain(const std::shared_ptr<RunState>& state) {
   std::unique_lock lock(state->mutex);
@@ -130,60 +106,36 @@ std::atomic<gpu::Executor*>& executor_slot() {
 
 void run(const Plan& plan, const RunOptions& options) {
   if (plan.empty()) return;
-  gpu::Executor& ex =
-      options.executor != nullptr ? *options.executor : executor();
+  gpu::Executor& ex = executor();
   const unsigned workers = ex.worker_count();
 
-  bool has_pinned = false;
-  for (const PlanNode& node : plan.nodes()) {
-    if (node.lane < 0) continue;
-    has_pinned = true;
-    if (static_cast<unsigned>(node.lane) >= workers)
-      throw std::out_of_range("compute::run: plan '" + plan.name() +
-                              "' pins lane " + std::to_string(node.lane) +
-                              " on a " + std::to_string(workers) +
-                              "-worker pool");
-  }
-
   // Min-grain: tiny plans (or a 1-worker pool) run on the calling thread —
-  // no helper submission, no cv hand-off.  Pinned nodes always take the
-  // scheduler path, since affinity is part of their contract.
+  // no helper submission, no cv hand-off.
   const std::size_t min_parallel = 2 * std::max<std::size_t>(options.min_grain, 1);
-  if (!has_pinned && (workers <= 1 || plan.size() < min_parallel)) {
+  if (workers <= 1 || plan.size() < min_parallel) {
     run_serial(plan);
     return;
   }
 
   auto state = std::make_shared<RunState>();
   state->nodes = &plan.nodes();
-  state->sched = &ex.scheduler();
   state->total = plan.size();
   state->pending.resize(plan.size(), 0);
   state->children.resize(plan.size());
-  std::size_t stealable_roots = 0;
-  std::vector<std::size_t> pinned_roots;
   for (std::size_t i = 0; i < plan.size(); ++i) {
     const PlanNode& node = plan.nodes()[i];
     state->pending[i] = static_cast<int>(node.deps.size());
     for (const std::size_t d : node.deps) state->children[d].push_back(i);
-    if (node.deps.empty()) {
-      if (node.lane >= 0)
-        pinned_roots.push_back(i);
-      else {
-        state->ready.push_back(i);
-        ++stealable_roots;
-      }
-    }
+    if (node.deps.empty()) state->ready.push_back(i);
   }
-  for (const std::size_t i : pinned_roots) submit_pinned(state, i);
 
-  // Stealable helpers, as in Executor::parallel_for: the caller participates
-  // too, so the plan completes even when launched from inside a pool worker.
+  // Helpers, as in Executor::parallel_for: the caller participates too, so
+  // the plan completes even when launched from inside a pool worker.
   // Helpers are unnamed — per-tile spans would swamp the runtime timeline.
   const std::size_t helper_cap =
-      std::max<std::size_t>(stealable_roots, std::size_t{1});
+      std::max<std::size_t>(state->ready.size(), std::size_t{1});
   for (unsigned i = 0; i + 1 < workers && i < helper_cap; ++i)
-    state->sched->submit_any({}, [state]() -> std::any {
+    ex.scheduler().submit_any({}, [state]() -> std::any {
       drain(state);
       return {};
     });
@@ -203,7 +155,7 @@ void set_executor(gpu::Executor* ex) {
   executor_slot().store(ex, std::memory_order_release);
 }
 
-// --- ISA dispatch & fast-math opt-in ---------------------------------------
+// --- ISA dispatch -----------------------------------------------------------
 
 Isa isa() {
 #if defined(__GNUC__) && defined(__x86_64__)
@@ -216,37 +168,6 @@ Isa isa() {
 }
 
 const char* isa_name() { return isa() == Isa::kAvx2 ? "avx2" : "portable"; }
-
-bool isa_has_fma() {
-#if defined(__GNUC__) && defined(__x86_64__)
-  static const bool v =
-      __builtin_cpu_supports("fma") > 0 && isa() == Isa::kAvx2;
-  return v;
-#else
-  return false;
-#endif
-}
-
-namespace {
-
-bool fast_math_from_env() {
-  const char* env = std::getenv("SAGESIM_FAST_MATH");
-  if (env == nullptr) return false;
-  const std::string v(env);
-  return v == "1" || v == "on" || v == "true";
-}
-
-std::atomic<bool>& fast_math_slot() {
-  static std::atomic<bool> slot{fast_math_from_env()};
-  return slot;
-}
-
-}  // namespace
-
-bool fast_math() { return fast_math_slot().load(std::memory_order_relaxed); }
-void set_fast_math(bool on) {
-  fast_math_slot().store(on, std::memory_order_relaxed);
-}
 
 // --- pooled scratch ---------------------------------------------------------
 

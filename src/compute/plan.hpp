@@ -10,13 +10,11 @@
 //
 //  * Dependency-counted: a node becomes ready only when every dependency
 //    has finished; workers never block on dependencies.
-//  * Lane-aware: a node may pin itself to a scheduler lane (worker index);
-//    pinned nodes are submitted to runtime::Scheduler's pinned queues at
-//    ready time, stealable nodes go through a shared claim pool that the
-//    *calling thread participates in*.  Caller participation is what makes
-//    plan execution safe to launch from inside a pool worker (a nested
-//    plan still completes on a 1-worker pool — the same property
-//    gpusim::Executor::parallel_for has).
+//  * Caller-participating: ready nodes go into a shared claim pool that
+//    helper tasks on compute::executor() *and the calling thread* drain.
+//    Caller participation is what makes plan execution safe to launch from
+//    inside a pool worker (a nested plan still completes on a 1-worker
+//    pool — the same property gpusim::Executor::parallel_for has).
 //  * Cancellation-safe: the first node that throws aborts the plan — nodes
 //    claimed afterwards complete without running their body, dependents
 //    drain, and the exception is rethrown on the calling thread once every
@@ -47,7 +45,6 @@ namespace sagesim::compute {
 struct PlanNode {
   std::function<void()> fn;
   std::vector<std::size_t> deps;
-  int lane{-1};  ///< pinned scheduler lane, -1 == stealable
 };
 
 /// A macro-tile decomposition: an immutable-once-run task graph.
@@ -58,8 +55,7 @@ class Plan {
   /// Adds a node depending on @p deps (all must index earlier nodes —
   /// throws std::invalid_argument otherwise, which also rules out cycles).
   /// Returns the node's index for use in later deps.
-  std::size_t add(std::function<void()> fn, std::vector<std::size_t> deps = {},
-                  int lane = -1);
+  std::size_t add(std::function<void()> fn, std::vector<std::size_t> deps = {});
 
   std::size_t size() const { return nodes_.size(); }
   bool empty() const { return nodes_.empty(); }
@@ -72,16 +68,14 @@ class Plan {
 };
 
 struct RunOptions {
-  /// Pool to execute on; nullptr uses compute::executor().
-  gpu::Executor* executor{nullptr};
   /// Minimum nodes per worker before going parallel: with fewer than
-  /// 2 * min_grain stealable nodes (or a 1-worker pool) the plan runs
-  /// serially on the calling thread.
+  /// 2 * min_grain nodes (or a 1-worker pool) the plan runs serially on the
+  /// calling thread.
   std::size_t min_grain{1};
 };
 
-/// Executes @p plan to completion; rethrows the first node exception after
-/// every node has reached a terminal state.
+/// Executes @p plan to completion on compute::executor(); rethrows the
+/// first node exception after every node has reached a terminal state.
 void run(const Plan& plan, const RunOptions& options = {});
 
 /// The executor kernel plans run on by default: gpu::Executor::shared()
@@ -99,16 +93,6 @@ Isa isa();
 /// "avx2" / "portable" — the string benches record so BENCH deltas are
 /// attributable to the dispatch choice.
 const char* isa_name();
-/// True when the CPU supports FMA3 (informational; FMA kernels are opt-in).
-bool isa_has_fma();
-
-/// Opt-in fused-multiply-add micro-kernels: first use reads
-/// SAGESIM_FAST_MATH (1/on/true).  FMA contracts the multiply-add, so the
-/// fast-math path is *excluded* from the bit-identity guarantees — results
-/// match the reference to tolerance, not bitwise (see the FastMath
-/// conformance test).  Off by default.
-bool fast_math();
-void set_fast_math(bool on);
 
 /// RAII scratch block drawn from mem::host_pool() — the packing buffers of
 /// a plan, recycled across tasks by the pool's free lists instead of hitting

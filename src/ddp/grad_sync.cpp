@@ -1,7 +1,6 @@
 #include "ddp/grad_sync.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "compute/autotuner.hpp"
@@ -9,40 +8,10 @@
 
 namespace sagesim::ddp {
 
-namespace {
-
-/// SAGESIM_DDP_BUCKET_MB in bytes, or 0 when unset/unparseable.
-std::size_t env_bucket_bytes() {
-  static const std::size_t cached = [] {
-    if (const char* env = std::getenv("SAGESIM_DDP_BUCKET_MB")) {
-      char* end = nullptr;
-      const unsigned long mb = std::strtoul(env, &end, 10);
-      if (end != env && mb > 0) return static_cast<std::size_t>(mb) << 20;
-    }
-    return std::size_t{0};
-  }();
-  return cached;
-}
-
-constexpr std::size_t kDefaultBucketBytes = std::size_t{4} << 20;
-
-}  // namespace
-
-std::size_t default_bucket_bytes() {
-  const std::size_t env = env_bucket_bytes();
-  return env != 0 ? env : kDefaultBucketBytes;
-}
-
 std::size_t resolve_bucket_bytes(std::size_t flat_bytes, std::size_t ranks) {
-  // Explicit env override > tuned value > default.  The env var stays the
-  // strongest so a user can pin the bucket size while experimenting even
-  // with a tuning cache in place.
-  const std::size_t env = env_bucket_bytes();
-  if (env != 0) return env;
   const std::size_t tuned =
       compute::Autotuner::shared().ddp_bucket_bytes(flat_bytes, ranks);
-  if (tuned != 0) return tuned;
-  return kDefaultBucketBytes;
+  return tuned != 0 ? tuned : kDefaultBucketBytes;
 }
 
 GradientSynchronizer::GradientSynchronizer(

@@ -23,9 +23,9 @@ enum class AllReduceAlgo : std::uint8_t {
 /// overlap that DDP's backward hooks provide).
 struct SyncOptions {
   AllReduceAlgo algo{AllReduceAlgo::kRing};
-  /// Bucket granularity in bytes.  0 resolves via resolve_bucket_bytes:
-  /// SAGESIM_DDP_BUCKET_MB (MiB) wins, then a compute::Autotuner entry for
-  /// the replica's (bytes, ranks) shape, then the 4 MiB default.
+  /// Bucket granularity in bytes.  0 resolves via resolve_bucket_bytes: a
+  /// compute::Autotuner entry for the replica's (bytes, ranks) shape, else
+  /// kDefaultBucketBytes.
   /// Parameters are bucketed in reverse registration order —
   /// the order backward produces gradients — and one parameter never splits
   /// across buckets.
@@ -37,13 +37,13 @@ struct SyncOptions {
   bool overlap{true};
 };
 
-/// Resolves SyncOptions::bucket_bytes == 0 (env var or 4 MiB default).
-std::size_t default_bucket_bytes();
+/// The bucket size of a shape the autotuner has no entry for.
+inline constexpr std::size_t kDefaultBucketBytes = std::size_t{4} << 20;
 
-/// Full resolution chain for SyncOptions::bucket_bytes == 0: an explicit
-/// SAGESIM_DDP_BUCKET_MB wins, then a compute::Autotuner entry for the
-/// (replica bytes, rank count) shape, then the 4 MiB default.  This is what
-/// the synchronizer's constructor applies once the replica size is known.
+/// Resolution for SyncOptions::bucket_bytes == 0: a compute::Autotuner entry
+/// for the (replica bytes, rank count) shape, else kDefaultBucketBytes.
+/// This is what the synchronizer's constructor applies once the replica
+/// size is known.
 std::size_t resolve_bucket_bytes(std::size_t flat_bytes, std::size_t ranks);
 
 /// Synchronizes gradients across replicas.

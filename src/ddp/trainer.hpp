@@ -34,8 +34,8 @@ struct StepStats {
 struct TrainerOptions {
   AllReduceAlgo algo{AllReduceAlgo::kRing};
   /// Gradient bucket granularity in bytes; 0 resolves via
-  /// ddp::resolve_bucket_bytes — SAGESIM_DDP_BUCKET_MB, then a tuned
-  /// compute::Autotuner entry, then 4 MiB.  See SyncOptions::bucket_bytes.
+  /// ddp::resolve_bucket_bytes — a tuned compute::Autotuner entry, else
+  /// 4 MiB.  See SyncOptions::bucket_bytes.
   std::size_t bucket_bytes{0};
   /// Overlap bucketed gradient communication with backward compute on the
   /// per-device comm streams.  See SyncOptions::overlap.

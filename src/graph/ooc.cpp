@@ -373,6 +373,26 @@ Expected<std::shared_ptr<const GraphShard>> ShardStore::acquire(
   if (hdr.magic != kShardMagic || hdr.index != shard)
     return Status::data_loss("ShardStore: corrupt header in " + path);
 
+  // The header sizes the allocations below, so it must match the node range
+  // meta assigns this shard, and its edge count must fit in the file.
+  const std::uint64_t first = std::uint64_t{shard} * meta_.nodes_per_shard;
+  const std::uint64_t nodes =
+      first < meta_.num_nodes
+          ? std::min<std::uint64_t>(meta_.nodes_per_shard,
+                                    meta_.num_nodes - first)
+          : 0;
+  const std::uint64_t offsets_end =
+      sizeof(hdr) + (nodes + 1) * sizeof(EdgeIdx);
+  std::error_code ec;
+  const std::uint64_t file_bytes = fs::file_size(path, ec);
+  // [[unlikely]]: without it GCC guesses the rest of this load path cold
+  // and leaves the validation loops below unvectorized.
+  if (ec || nodes == 0 || hdr.first_node != first || hdr.num_nodes != nodes ||
+      file_bytes < offsets_end ||
+      hdr.num_edges > (file_bytes - offsets_end) / sizeof(NodeId)) [[unlikely]]
+    return Status::data_loss("ShardStore: header of " + path +
+                             " disagrees with meta.txt or the file size");
+
   auto loaded = std::make_shared<GraphShard>();
   loaded->index = shard;
   loaded->first_node = static_cast<NodeId>(hdr.first_node);
@@ -388,6 +408,24 @@ Expected<std::shared_ptr<const GraphShard>> ShardStore::acquire(
                     loaded->adjacency.size() * sizeof(NodeId), path);
     if (!st.ok()) return st;
   }
+
+  // Samplers index adjacency by these offsets and degrees_ by these ids
+  // unchecked, so a shard is admitted only as a well-formed CSR.  The ids
+  // are folded with OR, several times faster than a max and exact when
+  // num_nodes is a power of two, as every generated graph's is; a fold at
+  // or above num_nodes is settled by the exact max.
+  const EdgeIdx* offs = loaded->offsets.data();
+  bool monotone = offs[0] == 0 && offs[loaded->num_nodes] == hdr.num_edges;
+  for (std::size_t i = 0; i < loaded->num_nodes; ++i)
+    monotone &= offs[i] <= offs[i + 1];
+  const std::span<const NodeId> cols = loaded->adjacency.span();
+  NodeId bits = 0;
+  for (const NodeId v : cols) bits |= v;
+  if (bits >= meta_.num_nodes && !cols.empty())
+    bits = *std::max_element(cols.begin(), cols.end());
+  if (!monotone || bits >= meta_.num_nodes)
+    return Status::data_loss("ShardStore: offsets or column ids out of "
+                             "range in " + path);
 
   ++stats_.loads;
   prof::counter("graph.shard_loads").add();

@@ -9,7 +9,6 @@
 
 #include "compute/plan.hpp"
 #include "gpusim/executor.hpp"
-#include "tensor/gemm_host.hpp"
 
 namespace sagesim::graph {
 
@@ -198,7 +197,10 @@ void spmm_host_blocked_tiled(const NormalizedAdjacency& a,
   const auto* offs = a.offsets.data();
   const auto* cols = a.columns.data();
   const auto* vals = a.values.data();
-  const std::size_t row_block = std::max<std::size_t>(1, tiling.row_block);
+  // Capped at n: a row block near SIZE_MAX (say, from a hostile tuning
+  // cache) would otherwise wrap the block count to 0 and skip every row.
+  const std::size_t row_block =
+      std::max<std::size_t>(1, std::min(tiling.row_block, n));
   const std::size_t tile_width = std::max<std::size_t>(8, tiling.tile_width);
 
   // The plan here is a flat row-block decomposition — no cross-block
@@ -233,23 +235,11 @@ void spmm_host_blocked_tiled(const NormalizedAdjacency& a,
 
 }  // namespace detail
 
-namespace {
-
-void spmm_host(const NormalizedAdjacency& a, const tensor::Tensor& x,
-               tensor::Tensor& y) {
-  if (tensor::ops::host_backend() == tensor::ops::HostBackend::kNaive)
-    detail::spmm_host_reference(a, x, y);
-  else
-    detail::spmm_host_blocked(a, x, y);
-}
-
-}  // namespace
-
 void spmm(gpu::Device* dev, const NormalizedAdjacency& a,
           const tensor::Tensor& x, tensor::Tensor& y) {
   check_shapes(a, x, y);
   if (dev == nullptr) {
-    spmm_host(a, x, y);
+    detail::spmm_host_blocked(a, x, y);
     return;
   }
   const std::size_t n = a.num_nodes();
@@ -270,7 +260,8 @@ void spmm(gpu::Device* dev, const NormalizedAdjacency& a,
       (nnz * feats + static_cast<double>(n) * feats) * sizeof(float) +
           nnz * (sizeof(NodeId) + sizeof(float))};
   dev->launch_modeled(
-      "spmm_csr", grid, gpu::Dim3{128}, cost, [&] { spmm_host(a, x, y); },
+      "spmm_csr", grid, gpu::Dim3{128}, cost,
+      [&] { detail::spmm_host_blocked(a, x, y); },
       [&](const gpu::ThreadCtx& ctx) {
         const std::size_t r = ctx.global_x();
         if (!ctx.branch(r < n)) return;

@@ -10,9 +10,8 @@
 namespace sagesim::graph {
 
 /// Y = A X where A is a weighted CSR operator (e.g. the normalized
-/// adjacency) and X is num_nodes x d.  The values come from
-/// tensor::ops::host_backend() — the cache-blocked parallel kernel by
-/// default, the serial reference row loop under kNaive.  With a non-null
+/// adjacency) and X is num_nodes x d.  The values come from the
+/// cache-blocked parallel kernel (spmm_host_blocked).  With a non-null
 /// @p dev the call is also a simulated row-parallel launch priced from
 /// closed-form counts (2·nnz·d flops); under warp fidelity its per-row
 /// thread body computes the values instead.  All paths are bit-identical

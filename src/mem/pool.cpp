@@ -3,11 +3,17 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <cstdlib>
 #include <iomanip>
 #include <new>
 #include <sstream>
 #include <utility>
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#else
+#define ASAN_POISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#define ASAN_UNPOISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#endif
 
 #include "gpusim/device.hpp"
 #include "prof/check.hpp"
@@ -158,6 +164,7 @@ Expected<void*> Pool::allocate(std::size_t bytes) {
   if (it != free_lists_.end() && !it->second.empty()) {
     void* p = it->second.back();
     it->second.pop_back();
+    ASAN_UNPOISON_MEMORY_REGION(p, cls);
     ++stats_.hits;
     stats_.bytes_served += bytes;
     stats_.bytes_cached -= cls;
@@ -191,6 +198,10 @@ void Pool::free(void* ptr) {
     resident_sub(info.block_bytes);
     return;
   }
+  // The block stays mapped but belongs to no caller: under ASan a stale
+  // pointer into it faults at the access instead of corrupting its next
+  // owner.
+  ASAN_POISON_MEMORY_REGION(ptr, info.class_bytes);
   free_lists_[info.class_bytes].push_back(ptr);
   stats_.bytes_cached += info.class_bytes;
 }
@@ -198,6 +209,7 @@ void Pool::free(void* ptr) {
 void Pool::flush_locked() {
   for (auto& [cls, list] : free_lists_)
     for (void* p : list) {
+      ASAN_UNPOISON_MEMORY_REGION(p, cls);
       upstream_free_(p);
       resident_sub(cls);
     }
@@ -232,13 +244,6 @@ void Pool::reset_peak() {
   stats_.bytes_live_peak = stats_.bytes_live;
 }
 
-bool pool_enabled_from_env() {
-  const char* v = std::getenv("SAGESIM_MEM_POOL");
-  if (v == nullptr) return true;
-  const std::string s(v);
-  return !(s == "off" || s == "0" || s == "false");
-}
-
 Pool& host_pool() {
   static Pool* pool = [] {
     auto* p = new Pool(
@@ -246,8 +251,7 @@ Pool& host_pool() {
         [](std::size_t bytes) -> Expected<void*> {
           return ::operator new(bytes, std::align_val_t{64});
         },
-        [](void* ptr) { ::operator delete(ptr, std::align_val_t{64}); },
-        pool_enabled_from_env());
+        [](void* ptr) { ::operator delete(ptr, std::align_val_t{64}); });
     register_pool(p);
     return p;
   }();
@@ -278,8 +282,7 @@ Pool& device_pool(gpu::Device& device) {
         dev->memory().free(ptr);
         dev->charge("cudaFree", prof::EventKind::kApi,
                     dev->timing().api_overhead_seconds());
-      },
-      pool_enabled_from_env());
+      });
   register_pool(p);
   pools.by_mem_id.emplace(mem_id, p);
   return *p;

@@ -59,7 +59,8 @@ class Pool {
   static constexpr std::size_t kMaxPooled = std::size_t{1} << 26;  // 64 MiB
 
   /// @param enabled  when false every request passes through (still tracked,
-  ///                 so free() works); the SAGESIM_MEM_POOL=off escape hatch.
+  ///                 so free() works) — the unpooled baseline benches
+  ///                 measure the pool against.
   Pool(std::string name, UpstreamAlloc upstream_alloc,
        UpstreamFree upstream_free, bool enabled = true);
 
@@ -80,6 +81,8 @@ class Pool {
 
   /// Returns a block from allocate() to the pool (cached, not released).
   /// Throws std::invalid_argument for pointers this pool did not hand out.
+  /// Under ASan a cached block is poisoned until allocate() reuses it, so a
+  /// caller touching a block it already freed gets a use-after-poison report.
   void free(void* ptr);
 
   /// Releases every cached block to upstream.
@@ -117,12 +120,6 @@ class Pool {
   std::unordered_map<void*, Live> live_;
   PoolStats stats_;
 };
-
-/// True unless SAGESIM_MEM_POOL is set to "off"/"0"/"false" — the documented
-/// escape hatch that turns every pooled allocation into a direct upstream
-/// call (for debugging lifetime issues under ASan, or measuring the pool's
-/// own benefit).
-bool pool_enabled_from_env();
 
 /// Process-wide pool over the host heap (64-byte aligned).  Never destroyed.
 Pool& host_pool();

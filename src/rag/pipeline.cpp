@@ -1,38 +1,9 @@
 #include "rag/pipeline.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <stdexcept>
 
 namespace sagesim::rag {
-
-namespace {
-
-std::size_t env_size(const char* name, std::size_t fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  return static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
-}
-
-double env_double(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  return std::strtod(v, nullptr);
-}
-
-}  // namespace
-
-ServeOptions ServeOptions::from_env() {
-  ServeOptions o;
-  o.max_batch = env_size("SAGESIM_RAG_MAX_BATCH", o.max_batch);
-  o.max_delay_us = env_size("SAGESIM_RAG_MAX_DELAY_US", o.max_delay_us);
-  o.embed_cache_entries =
-      env_size("SAGESIM_RAG_EMBED_CACHE", o.embed_cache_entries);
-  o.result_cache_entries =
-      env_size("SAGESIM_RAG_RESULT_CACHE", o.result_cache_entries);
-  o.deadline_s = env_double("SAGESIM_RAG_DEADLINE_S", o.deadline_s);
-  return o;
-}
 
 RagPipeline::RagPipeline(const Corpus& corpus,
                          std::unique_ptr<VectorIndex> index, gpu::Device* dev,

@@ -29,8 +29,7 @@ namespace sagesim::rag {
 
 /// Serving knobs consumed by rag::Server (and recorded in RagConfig so the
 /// bench and labs configure one struct).  Defaults favor low latency at
-/// modest load; from_env() reads the SAGESIM_RAG_* overrides documented in
-/// the README.
+/// modest load; callers override fields in code.
 struct ServeOptions {
   std::size_t max_batch{16};     ///< flush the batcher at this many queries
   std::size_t max_delay_us{200};  ///< ... or when the oldest waits this long
@@ -38,11 +37,6 @@ struct ServeOptions {
   std::size_t result_cache_entries{4096};  ///< exact-match answer cache (0 = off)
   double deadline_s{0.0};  ///< per-request wall deadline, 0 = none
                            ///< (missed -> kDeadlineExceeded, retryable)
-
-  /// Overrides from SAGESIM_RAG_MAX_BATCH, SAGESIM_RAG_MAX_DELAY_US,
-  /// SAGESIM_RAG_EMBED_CACHE, SAGESIM_RAG_RESULT_CACHE,
-  /// SAGESIM_RAG_DEADLINE_S; unset variables keep the defaults.
-  static ServeOptions from_env();
 };
 
 struct RagAnswer {

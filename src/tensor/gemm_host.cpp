@@ -1,9 +1,6 @@
 #include "tensor/gemm_host.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
-#include <string>
 #include <vector>
 
 #if defined(__GNUC__) && defined(__x86_64__)
@@ -13,32 +10,7 @@
 
 #include "compute/plan.hpp"
 
-namespace sagesim::tensor::ops {
-
-namespace {
-
-HostBackend backend_from_env() {
-  const char* env = std::getenv("SAGESIM_HOST_BACKEND");
-  if (env != nullptr && std::string(env) == "naive") return HostBackend::kNaive;
-  return HostBackend::kBlocked;
-}
-
-std::atomic<HostBackend>& backend_slot() {
-  static std::atomic<HostBackend> slot{backend_from_env()};
-  return slot;
-}
-
-}  // namespace
-
-HostBackend host_backend() {
-  return backend_slot().load(std::memory_order_relaxed);
-}
-
-void set_host_backend(HostBackend backend) {
-  backend_slot().store(backend, std::memory_order_relaxed);
-}
-
-namespace detail {
+namespace sagesim::tensor::ops::detail {
 
 namespace {
 
@@ -161,34 +133,6 @@ __attribute__((target("avx2"))) void micro_avx2(const float* __restrict ap,
       _mm256_storeu_ps(acc + (ii * NG + g) * 8, c[ii][g]);
 }
 
-/// Fused-multiply-add variant — the SAGESIM_FAST_MATH opt-in.  vfmadd
-/// keeps the intermediate product at infinite precision before the add, so
-/// results match the reference to tolerance, NOT bitwise: this kernel is
-/// excluded from the bit-identity guarantees (and therefore from the
-/// checkpoint-compatibility contract).
-template <std::size_t MR, std::size_t NG>
-__attribute__((target("avx2,fma"))) void micro_fma(const float* __restrict ap,
-                                                   const float* __restrict bp,
-                                                   std::size_t k,
-                                                   float* __restrict acc) {
-  __m256 c[MR][NG];
-  for (std::size_t ii = 0; ii < MR; ++ii)
-    for (std::size_t g = 0; g < NG; ++g)
-      c[ii][g] = _mm256_loadu_ps(acc + (ii * NG + g) * 8);
-  for (std::size_t p = 0; p < k; ++p, ap += MR, bp += NG * 8) {
-    __m256 b[NG];
-    for (std::size_t g = 0; g < NG; ++g) b[g] = _mm256_loadu_ps(bp + g * 8);
-    for (std::size_t ii = 0; ii < MR; ++ii) {
-      const __m256 av = _mm256_set1_ps(ap[ii]);
-      for (std::size_t g = 0; g < NG; ++g)
-        c[ii][g] = _mm256_fmadd_ps(av, b[g], c[ii][g]);
-    }
-  }
-  for (std::size_t ii = 0; ii < MR; ++ii)
-    for (std::size_t g = 0; g < NG; ++g)
-      _mm256_storeu_ps(acc + (ii * NG + g) * 8, c[ii][g]);
-}
-
 #endif  // SAGESIM_GEMM_AVX2
 
 /// The runtime tiling actually executed: sanitized fields + the selected
@@ -199,12 +143,12 @@ struct Tiling {
 };
 
 /// Clamps a requested tiling to the supported micro-kernel set for the
-/// runtime ISA and rounds the macro tiles to whole micro-panels.  Any
-/// GemmTiling therefore executes *something* valid — a stale tuning-cache
-/// entry can cost speed, never correctness.
+/// runtime ISA, rounds the macro tiles to whole micro-panels, and caps them
+/// at the matrix.  Any GemmTiling therefore executes *something* valid — a
+/// stale or hostile tuning-cache entry can cost speed, never correctness
+/// (an uncapped mc near SIZE_MAX would wrap the panel count to 0).
 Tiling sanitize(const compute::GemmTiling& req, const GemmSpec& s) {
   Tiling t{};
-  const bool fma = compute::fast_math() && compute::isa_has_fma();
 #if defined(SAGESIM_GEMM_AVX2)
   if (compute::isa() == compute::Isa::kAvx2) {
     t.nr = req.nr == 8 ? 8 : 16;
@@ -212,19 +156,19 @@ Tiling sanitize(const compute::GemmTiling& req, const GemmSpec& s) {
       t.mr = req.mr == 6 ? 6 : 4;
     else
       t.mr = req.mr == 8 ? 8 : 4;
-    if (t.nr == 16 && t.mr == 4) t.fn = fma ? micro_fma<4, 2> : micro_avx2<4, 2>;
-    if (t.nr == 16 && t.mr == 6) t.fn = fma ? micro_fma<6, 2> : micro_avx2<6, 2>;
-    if (t.nr == 8 && t.mr == 4) t.fn = fma ? micro_fma<4, 1> : micro_avx2<4, 1>;
+    if (t.nr == 16 && t.mr == 4) t.fn = micro_avx2<4, 2>;
+    if (t.nr == 16 && t.mr == 6) t.fn = micro_avx2<6, 2>;
+    if (t.nr == 8 && t.mr == 4) t.fn = micro_avx2<4, 1>;
     if (t.nr == 8 && t.mr == 8) t.fn = micro_portable<8, 8>;
   }
 #endif
   if (t.fn == nullptr) {  // portable floor
-    (void)fma;
     t.nr = 8;
     t.mr = req.mr == 8 ? 8 : 4;
     t.fn = t.mr == 8 ? micro_portable<8, 8> : micro_portable<4, 8>;
   }
-  t.mc = std::max(t.mr, req.mc - req.mc % t.mr);
+  const std::size_t m_rounded = (s.m + t.mr - 1) / t.mr * t.mr;
+  t.mc = std::min(std::max(t.mr, req.mc - req.mc % t.mr), m_rounded);
   t.nc = req.nc == 0 || req.nc >= s.n
              ? 0
              : std::max(t.nr, req.nc - req.nc % t.nr);
@@ -389,5 +333,4 @@ void gemm_host_blocked_tiled(const GemmSpec& s, compute::GemmTiling req) {
   compute::run(plan, opts);
 }
 
-}  // namespace detail
-}  // namespace sagesim::tensor::ops
+}  // namespace sagesim::tensor::ops::detail

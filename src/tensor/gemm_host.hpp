@@ -15,9 +15,8 @@
 // layout and KC slabbing round-trips the partial sum through a float
 // (exact), never the reduction order.  That is what lets the training
 // stack swap kernels without perturbing the checkpoint bit-identity ladder
-// (see DESIGN.md "Compute plans & autotuning").  The one exception is the
-// opt-in SAGESIM_FAST_MATH FMA micro-kernel, which contracts multiply-adds
-// and is documented as tolerance-only.
+// (see DESIGN.md "Compute plans & autotuning").  No kernel contracts a
+// multiply-add, so the guarantee has no exception.
 #pragma once
 
 #include <cstddef>
@@ -25,15 +24,6 @@
 #include "compute/autotuner.hpp"
 
 namespace sagesim::tensor::ops {
-
-/// Which implementation host-path (dev == nullptr) dense/sparse kernels
-/// run.  kBlocked (default) is the packed, cache-blocked, parallel engine;
-/// kNaive forces the serial reference loops.  The two are bit-identical,
-/// so the toggle exists for benchmarking and regression guards, not
-/// numerics.  First use reads SAGESIM_HOST_BACKEND=naive|blocked.
-enum class HostBackend { kBlocked, kNaive };
-HostBackend host_backend();
-void set_host_backend(HostBackend backend);
 
 namespace detail {
 
@@ -63,18 +53,19 @@ struct GemmSpec {
   Epilogue epilogue{Epilogue::kNone};
 };
 
-/// Serial reference: triple loop, float accumulator ascending in k.
+/// Serial reference: triple loop, float accumulator ascending in k.  The
+/// course's "sequential CPU baseline" and the conformance tests' oracle.
 void gemm_host_naive(const GemmSpec& spec);
 
 /// Packed + register-blocked + parallel engine with the autotuned (or
-/// default) tiling for the spec's shape.  Bit-identical to gemm_host_naive
-/// unless SAGESIM_FAST_MATH is enabled.
+/// default) tiling for the spec's shape.  Bit-identical to gemm_host_naive.
 void gemm_host_blocked(const GemmSpec& spec);
 
 /// Same engine with an explicit tiling — the entry point the autotuner's
 /// search and the worker-sweep tests drive.  Invalid tiling fields are
 /// sanitized to the nearest supported configuration (the micro-kernel set
-/// is ISA-constrained; see gemm_host.cpp).
+/// is ISA-constrained, and macro panels are capped at the matrix; see
+/// gemm_host.cpp).
 void gemm_host_blocked_tiled(const GemmSpec& spec, compute::GemmTiling tiling);
 
 }  // namespace detail

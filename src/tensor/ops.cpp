@@ -53,7 +53,7 @@ detail::GemmSpec gemm_spec(const Tensor& a, const Tensor& b, Tensor& out,
 void gemm_host(const detail::GemmSpec& s) {
   // Tiny problems: the packing traffic is pure overhead; both paths are
   // bit-identical so the crossover is a pure speed choice.
-  if (host_backend() == HostBackend::kNaive || s.m * s.n * s.k < 4096)
+  if (s.m * s.n * s.k < 4096)
     detail::gemm_host_naive(s);
   else
     detail::gemm_host_blocked(s);

@@ -1,9 +1,8 @@
 // Device-aware dense ops.  Every op takes an optional simulated device:
 // non-null → the op is a simulated kernel launch (results identical, time
 // modeled and traced); null → host execution.  The host path runs the
-// packed/blocked parallel engine from gemm_host.hpp by default; the serial
-// naive loops (the course's "sequential CPU baseline") stay reachable via
-// set_host_backend(HostBackend::kNaive) and are bit-identical.  Device
+// packed/blocked parallel engine from gemm_host.hpp, falling back to the
+// bit-identical serial naive loops only for shapes too small to pack.  Device
 // launches of the GEMMs and elementwise ops compute with the same host
 // code and price themselves from closed-form counts
 // (gpu::Device::launch_modeled); under warp fidelity they run their

@@ -1,11 +1,12 @@
 // Tests for the compute module: kernel plans (dependency order, abort,
-// nesting, lanes, min-grain), the shape-keyed autotuner (round-trip
-// persistence, corrupt-cache degradation), and the worker-count sweeps
+// nesting, min-grain), the shape-keyed autotuner (round-trip persistence,
+// corrupt-cache degradation, hostile tiles), and the worker-count sweeps
 // that pin the bit-identity contract — GEMM, SpMM and Algorithm 1 must
 // produce identical bits on 1, 2 and 8 workers.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <fstream>
 #include <stdexcept>
 #include <thread>
@@ -18,6 +19,7 @@
 #include "graph/generators.hpp"
 #include "graph/spmm.hpp"
 #include "tensor/gemm_host.hpp"
+#include "tensor/ops.hpp"
 
 namespace compute = sagesim::compute;
 namespace tensor = sagesim::tensor;
@@ -34,12 +36,6 @@ namespace {
 struct ExecutorGuard {
   explicit ExecutorGuard(gpu::Executor* ex) { compute::set_executor(ex); }
   ~ExecutorGuard() { compute::set_executor(nullptr); }
-};
-
-struct FastMathGuard {
-  bool prev{compute::fast_math()};
-  explicit FastMathGuard(bool on) { compute::set_fast_math(on); }
-  ~FastMathGuard() { compute::set_fast_math(prev); }
 };
 
 std::string temp_path(const std::string& leaf) {
@@ -81,9 +77,8 @@ TEST(Plan, RunRespectsDependencies) {
   const auto c = plan.add([&] { seen_c = done.fetch_add(1); }, {a});
   plan.add([&] { seen_d = done.fetch_add(1); }, {b, c});
 
-  compute::RunOptions opts;
-  opts.executor = &ex;
-  compute::run(plan, opts);
+  ExecutorGuard guard(&ex);
+  compute::run(plan);
 
   EXPECT_EQ(done.load(), 4);
   EXPECT_GE(seen_b, 1);  // a finished first
@@ -103,8 +98,8 @@ TEST(Plan, MinGrainRunsSeriallyOnCaller) {
       order.push_back(i);
     });
 
+  ExecutorGuard guard(&ex);
   compute::RunOptions opts;
-  opts.executor = &ex;
   opts.min_grain = 16;  // 4 nodes < 2 * 16 -> serial fallback
   compute::run(plan, opts);
 
@@ -121,9 +116,8 @@ TEST(Plan, FirstExceptionAbortsDependentsAndRethrows) {
       plan.add([] { throw std::runtime_error("tile exploded"); });
   plan.add([&] { dependent_ran = true; }, {bad});
 
-  compute::RunOptions opts;
-  opts.executor = &ex;
-  EXPECT_THROW(compute::run(plan, opts), std::runtime_error);
+  ExecutorGuard guard(&ex);
+  EXPECT_THROW(compute::run(plan), std::runtime_error);
   // The dependent reached a terminal state without running its body.
   EXPECT_FALSE(dependent_ran.load());
 }
@@ -134,9 +128,8 @@ TEST(Plan, SerialFallbackAlsoRethrows) {
   compute::Plan plan("boom-serial");
   plan.add([] { throw std::out_of_range("first"); });
   plan.add([&] { later_ran = true; });
-  compute::RunOptions opts;
-  opts.executor = &ex;
-  EXPECT_THROW(compute::run(plan, opts), std::out_of_range);
+  ExecutorGuard guard(&ex);
+  EXPECT_THROW(compute::run(plan), std::out_of_range);
   EXPECT_FALSE(later_ran.load());
 }
 
@@ -146,37 +139,18 @@ TEST(Plan, NestedRunInsidePoolWorkerCompletes) {
   // Caller participation means this cannot deadlock, even 1-worker.
   for (const unsigned workers : {1u, 2u}) {
     gpu::Executor ex(workers);
-    compute::RunOptions opts;
-    opts.executor = &ex;
+    ExecutorGuard guard(&ex);
     std::atomic<int> inner_done{0};
     compute::Plan outer("outer");
     for (int i = 0; i < 2; ++i)
       outer.add([&] {
         compute::Plan inner("inner");
         for (int j = 0; j < 4; ++j) inner.add([&] { inner_done.fetch_add(1); });
-        compute::run(inner, opts);
+        compute::run(inner);
       });
-    compute::run(outer, opts);
+    compute::run(outer);
     EXPECT_EQ(inner_done.load(), 8) << "workers=" << workers;
   }
-}
-
-TEST(Plan, PinnedLanesRunAndOutOfRangeLaneThrows) {
-  gpu::Executor ex(2);
-  compute::RunOptions opts;
-  opts.executor = &ex;
-
-  std::atomic<int> done{0};
-  compute::Plan plan("pinned");
-  const auto p0 = plan.add([&] { done.fetch_add(1); }, {}, /*lane=*/0);
-  const auto p1 = plan.add([&] { done.fetch_add(1); }, {}, /*lane=*/1);
-  plan.add([&] { done.fetch_add(1); }, {p0, p1});  // stealable join
-  compute::run(plan, opts);
-  EXPECT_EQ(done.load(), 3);
-
-  compute::Plan bad("bad-lane");
-  bad.add([] {}, {}, /*lane=*/5);
-  EXPECT_THROW(compute::run(bad, opts), std::out_of_range);
 }
 
 TEST(Plan, ScratchDrawsFromPool) {
@@ -326,7 +300,7 @@ TEST(Autotuner, SpmmAndDdpCandidatesAreSane) {
 }
 
 TEST(Autotuner, DdpBucketResolutionPrefersTunedValue) {
-  // resolve_bucket_bytes: env (unset in tests) > tuned > 4 MiB default.
+  // resolve_bucket_bytes: tuned > kDefaultBucketBytes (4 MiB).
   auto& shared = compute::Autotuner::shared();
   const std::size_t flat_bytes = 123456, ranks = 3;
   shared.record_ddp(flat_bytes, ranks, std::size_t{8} << 20);
@@ -335,6 +309,63 @@ TEST(Autotuner, DdpBucketResolutionPrefersTunedValue) {
   shared.clear();
   EXPECT_EQ(sagesim::ddp::resolve_bucket_bytes(flat_bytes, ranks),
             std::size_t{4} << 20);
+}
+
+TEST(Autotuner, OversizedTilesStillComputeEveryOutput) {
+  // A cache entry is only a speed hint: tiles near SIZE_MAX must not wrap
+  // the kernels' panel/block counts to 0 and leave outputs unwritten.
+  Rng rng(606);
+  const std::size_t m = 64, k = 64, n = 64;
+  tensor::Tensor a(m, k), b(k, n);
+  a.init_uniform(rng, -1, 1);
+  b.init_uniform(rng, -1, 1);
+  const auto g = graph::rmat(8, 4, rng);
+  const auto adj = graph::normalized_adjacency(g);
+  const std::size_t d = 24;
+  tensor::Tensor x(adj.num_nodes(), d);
+  x.init_uniform(rng, -1, 1);
+
+  const std::string huge = std::to_string(SIZE_MAX);
+  const std::string path = temp_path("tune_oversized.txt");
+  {
+    std::ofstream out(path);
+    out << "sagesim-tune-cache v1\n"
+        << "gemm " << compute::isa_name() << ' ' << m << ' ' << n << ' ' << k
+        << " 4 16 " << huge << " 0 0\n"
+        << "spmm " << compute::isa_name() << ' ' << adj.num_nodes() << ' '
+        << adj.nnz() << ' ' << d << ' ' << huge << " 64\n";
+  }
+  auto& shared = compute::Autotuner::shared();
+  ASSERT_TRUE(shared.load(path));
+  std::remove(path.c_str());
+  const std::uint64_t hits_before = shared.stats().hits;
+
+  tensor::Tensor c(m, n), c_ref(m, n);
+  c.fill(-7.0f);
+  ops::gemm(nullptr, a, b, c);
+  ops::detail::GemmSpec spec;
+  spec.a = a.data();
+  spec.b = b.data();
+  spec.c = c_ref.data();
+  spec.m = m;
+  spec.n = n;
+  spec.k = k;
+  spec.lda = k;
+  spec.ldb = n;
+  ops::detail::gemm_host_naive(spec);
+
+  tensor::Tensor y(adj.num_nodes(), d), y_ref(adj.num_nodes(), d);
+  y.fill(-7.0f);
+  graph::spmm(nullptr, adj, x, y);
+  graph::detail::spmm_host_reference(adj, x, y_ref);
+
+  const std::uint64_t hits = shared.stats().hits - hits_before;
+  shared.clear();
+  EXPECT_EQ(hits, 2u) << "both kernels must have consulted the entries";
+  for (std::size_t i = 0; i < c_ref.size(); ++i)
+    ASSERT_EQ(c_ref[i], c[i]) << "gemm at " << i;
+  for (std::size_t i = 0; i < y_ref.size(); ++i)
+    ASSERT_EQ(y_ref[i], y[i]) << "spmm at " << i;
 }
 
 // --- worker-count bit-identity sweeps --------------------------------------------
@@ -497,68 +528,4 @@ TEST(WorkerSweep, Alg1TrainingBitIdenticalAcrossWorkerCounts) {
           << "workers=" << workers << " epoch " << e;
     EXPECT_EQ(base.test_accuracy, res.test_accuracy) << "workers=" << workers;
   }
-}
-
-// --- opt-in fast math ------------------------------------------------------------
-
-TEST(FastMath, FmaKernelMatchesReferenceToTolerance) {
-  // SAGESIM_FAST_MATH swaps in FMA micro-kernels: contracted multiply-adds
-  // drop the intermediate rounding, so results are close-but-not-bitwise.
-  // This is the documented exception to the bit-identity contract.
-  if (compute::isa() != compute::Isa::kAvx2 || !compute::isa_has_fma())
-    GTEST_SKIP() << "no FMA on this host";
-
-  Rng rng(1234);
-  const std::size_t m = 64, k = 96, n = 48;
-  tensor::Tensor a(m, k), b(k, n);
-  a.init_uniform(rng, -1, 1);
-  b.init_uniform(rng, -1, 1);
-
-  ops::detail::GemmSpec spec;
-  spec.a = a.data();
-  spec.b = b.data();
-  spec.m = m;
-  spec.n = n;
-  spec.k = k;
-  spec.lda = k;
-  spec.ldb = n;
-
-  tensor::Tensor ref(m, n);
-  spec.c = ref.data();
-  ops::detail::gemm_host_naive(spec);
-
-  FastMathGuard guard(true);
-  ASSERT_TRUE(compute::fast_math());
-  tensor::Tensor out(m, n);
-  spec.c = out.data();
-  ops::detail::gemm_host_blocked_tiled(spec, compute::GemmTiling{});
-  // |error| is bounded by ~k ulps of the accumulated magnitude; for k = 96
-  // and inputs in [-1, 1] a 1e-4 absolute tolerance is generous but still
-  // tight enough to catch an indexing bug (which produces O(1) errors).
-  for (std::size_t i = 0; i < ref.size(); ++i)
-    ASSERT_NEAR(ref[i], out[i], 1e-4f) << "at " << i;
-}
-
-TEST(FastMath, OffByDefaultKeepsBitIdentity) {
-  ASSERT_FALSE(compute::fast_math());  // tests run without SAGESIM_FAST_MATH
-  Rng rng(555);
-  const std::size_t m = 32, k = 64, n = 32;
-  tensor::Tensor a(m, k), b(k, n);
-  a.init_uniform(rng, -1, 1);
-  b.init_uniform(rng, -1, 1);
-  ops::detail::GemmSpec spec;
-  spec.a = a.data();
-  spec.b = b.data();
-  spec.m = m;
-  spec.n = n;
-  spec.k = k;
-  spec.lda = k;
-  spec.ldb = n;
-  tensor::Tensor ref(m, n), out(m, n);
-  spec.c = ref.data();
-  ops::detail::gemm_host_naive(spec);
-  spec.c = out.data();
-  ops::detail::gemm_host_blocked_tiled(spec, compute::GemmTiling{});
-  for (std::size_t i = 0; i < ref.size(); ++i)
-    ASSERT_EQ(ref[i], out[i]) << "at " << i;
 }

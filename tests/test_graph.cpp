@@ -489,8 +489,6 @@ TEST(Generators, RedditLikePartitionsWellWithMetis) {
 // ascending-edge accumulation order of the reference loop, so results must
 // be bit-identical — exact equality, no tolerance.
 
-#include "tensor/gemm_host.hpp"
-
 namespace {
 
 class SpmmBlockedConformance : public ::testing::TestWithParam<int> {};
@@ -517,23 +515,17 @@ TEST_P(SpmmBlockedConformance, MatchesReferenceBitwise) {
 INSTANTIATE_TEST_SUITE_P(Widths, SpmmBlockedConformance,
                          ::testing::Values(1, 7, 8, 16, 33, 64, 96));
 
-TEST(SpmmBackendDispatch, PublicEntryHonorsHostBackend) {
-  namespace ops = sagesim::tensor::ops;
+TEST(SpmmBackendDispatch, PublicHostEntryMatchesReference) {
   Rng rng(321);
   const auto g = graph::rmat(8, 4, rng);
   const auto a = graph::normalized_adjacency(g);
   sagesim::tensor::Tensor x(a.num_nodes(), 24);
   x.init_uniform(rng, -1, 1);
-  sagesim::tensor::Tensor y_naive(a.num_nodes(), 24),
-      y_blocked(a.num_nodes(), 24);
-  const ops::HostBackend initial = ops::host_backend();
-  ops::set_host_backend(ops::HostBackend::kNaive);
-  graph::spmm(nullptr, a, x, y_naive);
-  ops::set_host_backend(ops::HostBackend::kBlocked);
-  graph::spmm(nullptr, a, x, y_blocked);
-  ops::set_host_backend(initial);
-  for (std::size_t i = 0; i < y_naive.size(); ++i)
-    ASSERT_EQ(y_naive[i], y_blocked[i]) << "at " << i;
+  sagesim::tensor::Tensor y_ref(a.num_nodes(), 24), y(a.num_nodes(), 24);
+  graph::detail::spmm_host_reference(a, x, y_ref);
+  graph::spmm(nullptr, a, x, y);
+  for (std::size_t i = 0; i < y_ref.size(); ++i)
+    ASSERT_EQ(y_ref[i], y[i]) << "at " << i;
 }
 
 // --- 64-bit index audit (out-of-core scale regression) ----------------------

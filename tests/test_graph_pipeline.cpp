@@ -9,7 +9,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <functional>
+#include <iterator>
 #include <set>
 #include <string>
 #include <utility>
@@ -229,6 +233,108 @@ TEST(ShardStore, LruEvictsBeyondBoundAndPinsSurvive) {
   ASSERT_TRUE(store->acquire(1));  // cached
   EXPECT_EQ(store->stats().hits, 1u);
   EXPECT_EQ(store->stats().loads, 2u);
+}
+
+TEST(ShardStore, CorruptShardIsDataLoss) {
+  // acquire() sizes its buffers from the shard header and hands offsets and
+  // column ids to samplers that index with them unchecked, so every one of
+  // those fields must be validated: corruption is kDataLoss, never a
+  // bad_alloc, an out-of-bounds read or a silently wrong graph.
+  const auto meta = small_graph("corrupt");
+  const std::string path = (fs::path(meta.dir) / "shard_1.bin").string();
+  std::vector<char> pristine;
+  {
+    std::ifstream in(path, std::ios::binary);
+    pristine.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  // Layout: u64 magic, index, first_node, num_nodes, num_edges; then
+  // num_nodes + 1 u64 offsets; then num_edges u32 column ids.
+  constexpr std::size_t kFirstNode = 16, kNumNodes = 24, kNumEdges = 32,
+                        kOffsets = 40;
+  const std::size_t nodes = meta.nodes_per_shard;
+  const std::size_t columns_at = kOffsets + (nodes + 1) * sizeof(std::uint64_t);
+  std::uint64_t num_edges = 0;
+  std::memcpy(&num_edges, pristine.data() + kNumEdges, sizeof(num_edges));
+  ASSERT_GT(num_edges, 0u);
+
+  const auto set_u64 = [](std::vector<char>& b, std::size_t at,
+                          std::uint64_t v) {
+    std::memcpy(b.data() + at, &v, sizeof(v));
+  };
+  const auto xor_u64 = [](std::vector<char>& b, std::size_t at,
+                          std::uint64_t mask) {
+    std::uint64_t v = 0;
+    std::memcpy(&v, b.data() + at, sizeof(v));
+    v ^= mask;
+    std::memcpy(b.data() + at, &v, sizeof(v));
+  };
+  const auto offset_at = [&](std::size_t i) {
+    return kOffsets + i * sizeof(std::uint64_t);
+  };
+  const auto acquire = [&](const std::vector<char>& bytes,
+                           const graph::OocGraphMeta& m) {
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    auto store = graph::ShardStore::open(m, 1);
+    EXPECT_TRUE(store);
+    return store->acquire(1).status().code();
+  };
+
+  EXPECT_EQ(acquire(pristine, meta), ErrorCode::kOk);
+
+  struct Corruption {
+    const char* what;
+    std::function<void(std::vector<char>&)> apply;
+  };
+  const Corruption corruptions[] = {
+      {"num_nodes bit 40",
+       [&](auto& b) { xor_u64(b, kNumNodes, std::uint64_t{1} << 40); }},
+      {"num_edges bit 40",
+       [&](auto& b) { xor_u64(b, kNumEdges, std::uint64_t{1} << 40); }},
+      {"num_nodes off by one", [&](auto& b) { xor_u64(b, kNumNodes, 1); }},
+      {"first_node of another shard",
+       [&](auto& b) { set_u64(b, kFirstNode, 0); }},
+      {"num_edges past end of file",
+       [&](auto& b) { set_u64(b, kNumEdges, num_edges + 1); }},
+      {"first offset nonzero", [&](auto& b) { set_u64(b, offset_at(0), 1); }},
+      {"offset past adjacency",
+       [&](auto& b) { set_u64(b, offset_at(nodes / 2), num_edges + 1000); }},
+      {"last offset short",
+       [&](auto& b) { set_u64(b, offset_at(nodes), num_edges - 1); }},
+      {"column id past num_nodes",
+       [&](auto& b) {
+         const auto bad = static_cast<graph::NodeId>(meta.num_nodes);
+         std::memcpy(b.data() + columns_at, &bad, sizeof(bad));
+       }},
+  };
+  for (const Corruption& c : corruptions) {
+    std::vector<char> bytes = pristine;
+    c.apply(bytes);
+    EXPECT_EQ(acquire(bytes, meta), ErrorCode::kDataLoss) << c.what;
+  }
+  EXPECT_EQ(acquire(pristine, meta), ErrorCode::kOk);
+
+  // The column check has a fast path that is exact only for power-of-two
+  // node counts: under a 1000-node meta, ids remapped below 1000 (whose OR
+  // still reaches 1023) pass, and one id of 1000 fails.
+  graph::OocGraphMeta odd = meta;
+  odd.num_nodes = 1000;
+  std::vector<char> remapped = pristine;
+  for (std::size_t at = columns_at; at < remapped.size();
+       at += sizeof(graph::NodeId)) {
+    graph::NodeId v = 0;
+    std::memcpy(&v, remapped.data() + at, sizeof(v));
+    v %= 1000;
+    std::memcpy(remapped.data() + at, &v, sizeof(v));
+  }
+  EXPECT_EQ(acquire(remapped, odd), ErrorCode::kOk);
+  const graph::NodeId out_of_range = 1000;
+  std::memcpy(remapped.data() + columns_at, &out_of_range,
+              sizeof(out_of_range));
+  EXPECT_EQ(acquire(remapped, odd), ErrorCode::kDataLoss);
+  EXPECT_EQ(acquire(pristine, meta), ErrorCode::kOk);
 }
 
 // --- neighbor sampler --------------------------------------------------------

@@ -3,7 +3,6 @@
 // serving front end (dynamic batching, caches, deadlines).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <thread>
 
 #include "compute/autotuner.hpp"
@@ -752,23 +751,4 @@ TEST_F(ServerFixture, SubmitAfterStopFailsCleanly) {
   const auto got = server.answer("too late");
   ASSERT_FALSE(got);
   EXPECT_EQ(got.status().code(), sagesim::ErrorCode::kFailedPrecondition);
-}
-
-TEST(ServeOptions, ReadsEnvironmentKnobs) {
-  ::setenv("SAGESIM_RAG_MAX_BATCH", "32", 1);
-  ::setenv("SAGESIM_RAG_MAX_DELAY_US", "750", 1);
-  ::setenv("SAGESIM_RAG_EMBED_CACHE", "10", 1);
-  ::setenv("SAGESIM_RAG_RESULT_CACHE", "20", 1);
-  ::setenv("SAGESIM_RAG_DEADLINE_S", "0.25", 1);
-  const auto opts = rag::ServeOptions::from_env();
-  ::unsetenv("SAGESIM_RAG_MAX_BATCH");
-  ::unsetenv("SAGESIM_RAG_MAX_DELAY_US");
-  ::unsetenv("SAGESIM_RAG_EMBED_CACHE");
-  ::unsetenv("SAGESIM_RAG_RESULT_CACHE");
-  ::unsetenv("SAGESIM_RAG_DEADLINE_S");
-  EXPECT_EQ(opts.max_batch, 32u);
-  EXPECT_EQ(opts.max_delay_us, 750u);
-  EXPECT_EQ(opts.embed_cache_entries, 10u);
-  EXPECT_EQ(opts.result_cache_entries, 20u);
-  EXPECT_DOUBLE_EQ(opts.deadline_s, 0.25);
 }

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <tuple>
 
 #include "gpusim/device_manager.hpp"
 #include "tensor/ops.hpp"
@@ -326,20 +327,35 @@ TEST_P(TiledGemmSweep, MatchesNaiveAtAwkwardSizes) {
 INSTANTIATE_TEST_SUITE_P(Sizes, TiledGemmSweep,
                          ::testing::Values(1, 15, 16, 17, 32, 33, 100));
 
-// --- blocked-vs-naive backend conformance ---------------------------------------
+// --- blocked-vs-naive engine conformance ------------------------------------
 //
 // The packed/blocked engine promises bit-identical results to the naive
 // triple loop (same per-cell float accumulation order), which is what
-// keeps checkpoint-resume bit-exact across backend swaps.  Every
-// comparison below is exact float equality, not tolerance.
+// keeps checkpoint-resume bit-exact whichever engine computed a step.
+// Every comparison below is exact float equality, not tolerance.
 
 namespace {
 
-struct BackendGuard {
-  ops::HostBackend prev{ops::host_backend()};
-  explicit BackendGuard(ops::HostBackend b) { ops::set_host_backend(b); }
-  ~BackendGuard() { ops::set_host_backend(prev); }
-};
+/// The host GEMM spec of out = alpha * op(a) @ op(b) (+ out if accumulate).
+ops::detail::GemmSpec gemm_spec(const tensor::Tensor& a,
+                                const tensor::Tensor& b, tensor::Tensor& out,
+                                bool ta = false, bool tb = false,
+                                float alpha = 1.0f, bool accumulate = false) {
+  ops::detail::GemmSpec s;
+  s.a = a.data();
+  s.b = b.data();
+  s.c = out.data();
+  s.m = out.rows();
+  s.n = out.cols();
+  s.k = ta ? a.rows() : a.cols();
+  s.lda = a.cols();
+  s.ldb = b.cols();
+  s.ta = ta;
+  s.tb = tb;
+  s.alpha = alpha;
+  s.accumulate = accumulate;
+  return s;
+}
 
 tensor::Tensor transposed(const tensor::Tensor& a) {
   tensor::Tensor t(a.cols(), a.rows());
@@ -355,15 +371,6 @@ void expect_bitwise(const tensor::Tensor& a, const tensor::Tensor& b) {
 }
 
 }  // namespace
-
-TEST(HostBackend, SwitchRoundTrips) {
-  const ops::HostBackend initial = ops::host_backend();
-  ops::set_host_backend(ops::HostBackend::kNaive);
-  EXPECT_EQ(ops::host_backend(), ops::HostBackend::kNaive);
-  ops::set_host_backend(ops::HostBackend::kBlocked);
-  EXPECT_EQ(ops::host_backend(), ops::HostBackend::kBlocked);
-  ops::set_host_backend(initial);
-}
 
 class GemmBackendConformance
     : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
@@ -388,14 +395,10 @@ TEST_P(GemmBackendConformance, BlockedMatchesNaiveBitwise) {
           const tensor::Tensor& lhs = ta ? at : a;
           const tensor::Tensor& rhs = tb ? bt : b;
           tensor::Tensor naive = seed, blocked = seed;
-          {
-            BackendGuard g(ops::HostBackend::kNaive);
-            ops::gemm(nullptr, lhs, rhs, naive, ta, tb, alpha, accumulate);
-          }
-          {
-            BackendGuard g(ops::HostBackend::kBlocked);
-            ops::gemm(nullptr, lhs, rhs, blocked, ta, tb, alpha, accumulate);
-          }
+          ops::detail::gemm_host_naive(
+              gemm_spec(lhs, rhs, naive, ta, tb, alpha, accumulate));
+          ops::detail::gemm_host_blocked(
+              gemm_spec(lhs, rhs, blocked, ta, tb, alpha, accumulate));
           for (std::size_t i = 0; i < naive.size(); ++i)
             ASSERT_EQ(naive[i], blocked[i])
                 << "ta=" << ta << " tb=" << tb << " acc=" << accumulate
@@ -418,15 +421,15 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(GemmFusedEpilogue, MatchesDecomposedPassesBitwise) {
   Rng rng(2024);
-  const std::size_t m = 37, k = 19, n = 29;
-  tensor::Tensor a(m, k), b(k, n), bias(1, n);
-  a.init_uniform(rng, -1, 1);
-  b.init_uniform(rng, -1, 1);
-  bias.init_uniform(rng, -0.5f, 0.5f);
+  // Both sides of ops::gemm's size crossover: 37x19x29 runs the blocked
+  // engine, 7x5x6 (under 4096 multiply-adds) the naive loop.
+  using Shape = std::tuple<std::size_t, std::size_t, std::size_t>;
+  for (const auto& [m, k, n] : {Shape{37, 19, 29}, Shape{7, 5, 6}}) {
+    tensor::Tensor a(m, k), b(k, n), bias(1, n);
+    a.init_uniform(rng, -1, 1);
+    b.init_uniform(rng, -1, 1);
+    bias.init_uniform(rng, -0.5f, 0.5f);
 
-  for (const auto backend :
-       {ops::HostBackend::kNaive, ops::HostBackend::kBlocked}) {
-    BackendGuard g(backend);
     // gemm_bias == gemm then add_bias.
     tensor::Tensor fused(m, n), ref(m, n);
     ops::gemm_bias(nullptr, a, b, bias, fused);
@@ -458,14 +461,15 @@ TEST(GemmFusedEpilogue, BlockedMatchesNaiveWithTransposes) {
       const tensor::Tensor& lhs = ta ? at : a;
       const tensor::Tensor& rhs = tb ? bt : b;
       tensor::Tensor pre_n(m, n), out_n(m, n), pre_b(m, n), out_b(m, n);
-      {
-        BackendGuard g(ops::HostBackend::kNaive);
-        ops::gemm_bias_relu(nullptr, lhs, rhs, bias, pre_n, out_n, ta, tb);
-      }
-      {
-        BackendGuard g(ops::HostBackend::kBlocked);
-        ops::gemm_bias_relu(nullptr, lhs, rhs, bias, pre_b, out_b, ta, tb);
-      }
+      const auto bias_relu = [&](tensor::Tensor& pre, tensor::Tensor& out) {
+        ops::detail::GemmSpec s = gemm_spec(lhs, rhs, out, ta, tb);
+        s.bias = bias.data();
+        s.pre = pre.data();
+        s.epilogue = ops::detail::Epilogue::kBiasRelu;
+        return s;
+      };
+      ops::detail::gemm_host_naive(bias_relu(pre_n, out_n));
+      ops::detail::gemm_host_blocked(bias_relu(pre_b, out_b));
       expect_bitwise(pre_n, pre_b);
       expect_bitwise(out_n, out_b);
     }
@@ -474,8 +478,8 @@ TEST(GemmFusedEpilogue, BlockedMatchesNaiveWithTransposes) {
 
 TEST(GemmDevicePath, MatchesHostBitwise) {
   // The simulated-device GEMM runs the same float ascending-k accumulation
-  // and shared epilogue as the host backends, so it is bit-identical too —
-  // this is what lets lab code validate device kernels against host
+  // and shared epilogue as the host engines, so it is bit-identical to
+  // both — this is what lets lab code validate device kernels against host
   // references with exact comparison.
   Rng rng(31);
   const std::size_t m = 23, k = 41, n = 17;
@@ -483,13 +487,12 @@ TEST(GemmDevicePath, MatchesHostBitwise) {
   tensor::Tensor a(m, k), b(k, n);
   a.init_uniform(rng, -1, 1);
   b.init_uniform(rng, -1, 1);
-  tensor::Tensor dev_out(m, n), host_out(m, n);
+  tensor::Tensor dev_out(m, n), naive_out(m, n), blocked_out(m, n);
   ops::gemm(&dm.device(0), a, b, dev_out);
-  {
-    BackendGuard g(ops::HostBackend::kBlocked);
-    ops::gemm(nullptr, a, b, host_out);
-  }
-  expect_bitwise(dev_out, host_out);
+  ops::detail::gemm_host_naive(gemm_spec(a, b, naive_out));
+  ops::detail::gemm_host_blocked(gemm_spec(a, b, blocked_out));
+  expect_bitwise(dev_out, naive_out);
+  expect_bitwise(dev_out, blocked_out);
 }
 
 // --- placement ------------------------------------------------------------------
