@@ -53,6 +53,26 @@ if grep -rnE --include=CMakeLists.txt -e '-ffast-math|-march=native' .; then
 fi
 echo "configuration is code"
 
+step "static: no test-only modules"
+# Every header under src/ must be included by library code other than its
+# own .cpp, or by a bench, example or perfbench; a module only tests reach
+# is wired into a lab or deleted.  Three stay on purpose:
+#   core/jobs.hpp          the only code that runs course workloads through sched
+#   dataframe/csv.hpp      an on-disk format that the corruption sweep hardens
+#   prof/chrome_trace.hpp  the base of the planned trace export
+orphans=0
+for hdr in $(cd src && find . -name '*.hpp' | sed 's|^\./||' | sort); do
+  case "$hdr" in core/jobs.hpp|dataframe/csv.hpp|prof/chrome_trace.hpp) continue ;; esac
+  users=$(grep -rlF "#include \"$hdr\"" src bench examples perfbench |
+          grep -vxF "src/${hdr%.hpp}.cpp" || true)
+  if [[ -z "$users" ]]; then
+    echo "error: src/$hdr is included only by tests or its own .cpp (wire it into a lab or delete it)"
+    orphans=1
+  fi
+done
+[[ "$orphans" == 0 ]] || exit 1
+echo "no test-only modules"
+
 step "tier-1: configure + build"
 cmake -B build -S . >/dev/null
 cmake --build build -j "$JOBS"

@@ -11,14 +11,6 @@ void Provisioner::advance_time(double hours) {
   if (idle_threshold_h_) reap_idle();
 }
 
-Vpc& Provisioner::create_vpc(const IamRole& role, const std::string& cidr) {
-  const Decision d = role.evaluate(Action::kCreateVpc);
-  if (!d.allowed) throw std::runtime_error(d.reason);
-  auto id = "vpc-" + std::to_string(next_vpc_++);
-  vpcs_.push_back(std::make_unique<Vpc>(id, Cidr::parse(cidr)));
-  return *vpcs_.back();
-}
-
 Vpc& Provisioner::default_vpc() {
   if (vpcs_.empty()) {
     vpcs_.push_back(
@@ -150,13 +142,6 @@ void Provisioner::terminate(const IamRole& role,
 
 void Provisioner::touch(const std::string& instance_id) {
   instance(instance_id).touch(now_h_);
-}
-
-std::vector<const Instance*> Provisioner::running_instances() const {
-  std::vector<const Instance*> out;
-  for (const auto& i : instances_)
-    if (i->state() == InstanceState::kRunning) out.push_back(i.get());
-  return out;
 }
 
 std::uint32_t Provisioner::running_count(const std::string& owner) const {

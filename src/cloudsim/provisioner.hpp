@@ -56,11 +56,6 @@ class Provisioner {
   /// enabled).  @p hours must be >= 0.
   void advance_time(double hours);
 
-  // --- network ------------------------------------------------------------
-
-  /// Creates a VPC owned by the control plane.
-  Vpc& create_vpc(const IamRole& role, const std::string& cidr);
-
   // --- instances ----------------------------------------------------------
 
   struct LaunchRequest {
@@ -107,7 +102,6 @@ class Provisioner {
     return instances_;
   }
 
-  std::vector<const Instance*> running_instances() const;
   std::uint32_t running_count(const std::string& owner) const;
 
   // --- cost controls --------------------------------------------------------
@@ -141,7 +135,6 @@ class Provisioner {
 
   double now_h_{0.0};
   int next_id_{0};
-  int next_vpc_{0};
   std::vector<std::unique_ptr<Vpc>> vpcs_;
   std::vector<std::unique_ptr<Instance>> instances_;
   std::vector<UsageRecord> ledger_;

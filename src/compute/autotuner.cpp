@@ -152,13 +152,6 @@ void Autotuner::record_ddp(std::size_t flat_bytes, std::size_t ranks,
   maybe_persist_locked();
 }
 
-void Autotuner::record_hnsw(std::size_t count, std::size_t dim, std::size_t k,
-                            std::size_t ef_search) {
-  std::lock_guard lock(mutex_);
-  hnsw_[hnsw_key(count, dim, k)] = ef_search;
-  maybe_persist_locked();
-}
-
 // --- candidate grids -------------------------------------------------------
 
 std::vector<GemmTiling> Autotuner::gemm_candidates(std::size_t m,

@@ -85,8 +85,6 @@ class Autotuner {
                    SpmmTiling t);
   void record_ddp(std::size_t flat_bytes, std::size_t ranks,
                   std::size_t bucket_bytes);
-  void record_hnsw(std::size_t count, std::size_t dim, std::size_t k,
-                   std::size_t ef_search);
 
   /// Candidate grids, pruned to the shape and the runtime ISA.
   static std::vector<GemmTiling> gemm_candidates(std::size_t m, std::size_t n,

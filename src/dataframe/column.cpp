@@ -47,18 +47,6 @@ std::span<const std::string> Column::str() const {
   throw std::logic_error("Column '" + name_ + "' is not string");
 }
 
-std::span<double> Column::f64_mut() {
-  if (auto* v = std::get_if<mem::TypedBuffer<double>>(&data_))
-    return v->span();
-  throw std::logic_error("Column '" + name_ + "' is not float64");
-}
-
-std::span<std::int64_t> Column::i64_mut() {
-  if (auto* v = std::get_if<mem::TypedBuffer<std::int64_t>>(&data_))
-    return v->span();
-  throw std::logic_error("Column '" + name_ + "' is not int64");
-}
-
 double Column::numeric_at(std::size_t row) const {
   switch (dtype()) {
     case DType::kFloat64: return f64()[row];

@@ -38,8 +38,6 @@ class Column {
   std::span<const double> f64() const;
   std::span<const std::int64_t> i64() const;
   std::span<const std::string> str() const;
-  std::span<double> f64_mut();
-  std::span<std::int64_t> i64_mut();
 
   /// Value at @p row as double (int64 widened); throws for string columns.
   double numeric_at(std::size_t row) const;

@@ -77,12 +77,6 @@ void DeviceManager::copy_peer(std::size_t dst_dev, void* dst,
   timeline_->record(std::move(e));
 }
 
-double DeviceManager::synchronize_all() {
-  double latest = 0.0;
-  for (auto& d : devices_) latest = std::max(latest, d->synchronize());
-  return latest;
-}
-
 double DeviceManager::now_s() const {
   double latest = 0.0;
   for (const auto& d : devices_)

@@ -39,9 +39,6 @@ class DeviceManager {
                  const void* src, std::size_t bytes, int dst_stream = 0,
                  int src_stream = 0);
 
-  /// Synchronizes every device; returns the latest completion time.
-  double synchronize_all();
-
   /// Latest stream cursor across all devices (global simulated "now").
   double now_s() const;
 

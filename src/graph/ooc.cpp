@@ -7,7 +7,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "prof/counters.hpp"
 #include "stats/rng.hpp"
 #include "tensor/tensor.hpp"
 
@@ -428,7 +427,6 @@ Expected<std::shared_ptr<const GraphShard>> ShardStore::acquire(
                              "range in " + path);
 
   ++stats_.loads;
-  prof::counter("graph.shard_loads").add();
   stats_.bytes_loaded += loaded->resident_bytes();
   stats_.resident_bytes += loaded->resident_bytes();
   stats_.resident_peak_bytes =
@@ -445,7 +443,6 @@ Expected<std::shared_ptr<const GraphShard>> ShardStore::acquire(
     stats_.resident_bytes -= victim->second.shard->resident_bytes();
     cache_.erase(victim);
     ++stats_.evictions;
-    prof::counter("graph.shard_evictions").add();
   }
   return std::shared_ptr<const GraphShard>(std::move(loaded));
 }

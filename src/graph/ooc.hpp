@@ -137,8 +137,7 @@ struct ShardStoreStats {
 /// concurrent samplers acquire() shards while the LRU evicts others —
 /// acquire returns a shared_ptr pin, so an evicted shard stays valid for
 /// readers that still hold it and its memory returns to the pool when the
-/// last pin drops.  Loads/evictions also tick the process-wide
-/// prof::counter("graph.shard_loads"/"graph.shard_evictions").
+/// last pin drops.  Loads and evictions are counted in stats().
 class ShardStore {
  public:
   /// Opens @p meta's directory and loads the degree index (4 bytes/node,

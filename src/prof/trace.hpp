@@ -4,8 +4,7 @@
 // Events carry *simulated* timestamps (seconds of modeled device/host time,
 // produced by the gpusim timing model) rather than wall-clock readings, so
 // traces are deterministic and independent of the host the simulation runs
-// on.  Wall-clock measurement for the benchmark harness lives in
-// host_timer.hpp.
+// on.
 #pragma once
 
 #include <cstdint>

@@ -7,8 +7,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "prof/counters.hpp"
-
 namespace sagesim::rag {
 
 using Clock = std::chrono::steady_clock;
@@ -58,10 +56,7 @@ runtime::Future<RagAnswer> Server::submit(const std::string& query) {
     promise.fail(std::make_exception_ptr(StatusError(
         Status::failed_precondition("rag::Server stopped"))));
   } else if (cached) {
-    prof::counter("rag.cache.result.hit").add();
     promise.deliver(std::any(std::move(*cached)));
-  } else {
-    prof::counter("rag.cache.result.miss").add();
   }
   return runtime::Future<RagAnswer>(promise);
 }
@@ -157,7 +152,6 @@ void Server::process_batch(std::vector<Pending> batch) {
         stats_.failed += expired.size();
         stats_.deadline_misses += expired.size();
       }
-      prof::counter("rag.serve.deadline_miss").add(expired.size());
       for (auto& p : expired)
         p.promise.fail(std::make_exception_ptr(DeadlineExceeded(
             "request waited past the " + std::to_string(options_.deadline_s) +
@@ -180,10 +174,7 @@ void Server::process_batch(std::vector<Pending> batch) {
       std::lock_guard lk(mutex_);
       row = embed_cache_.get(live[i].id);
     }
-    if (row) {
-      prof::counter("rag.cache.embed.hit").add();
-    } else {
-      prof::counter("rag.cache.embed.miss").add();
+    if (!row) {
       const tensor::Tensor e = pipeline_.encode_query(live[i].query);
       row.emplace(e.data(), e.data() + e.size());
       std::lock_guard lk(mutex_);
@@ -210,8 +201,6 @@ void Server::process_batch(std::vector<Pending> batch) {
     stats_.largest_batch =
         std::max<std::uint64_t>(stats_.largest_batch, live.size());
   }
-  prof::counter("rag.serve.batches").add();
-  prof::counter("rag.serve.batched_queries").add(live.size());
 
   if (!result.has_value()) {
     {

@@ -20,8 +20,8 @@
 // Failures are values end to end: a request that outlives
 // ServeOptions::deadline_s in the queue completes its future with
 // kDeadlineExceeded (retryable), and pipeline failures propagate their
-// Status through Future::result().  Hit/miss/batch counts are mirrored
-// into prof's named counters ("rag.serve.*", "rag.cache.*").
+// Status through Future::result().  Hit/miss/batch counts surface only
+// through Server::stats().
 #pragma once
 
 #include <condition_variable>

@@ -10,7 +10,6 @@
 #include "cloudsim/instance_type.hpp"
 #include "dflow/cluster.hpp"
 #include "gpusim/device_manager.hpp"
-#include "prof/counters.hpp"
 
 namespace sagesim::sched {
 
@@ -75,11 +74,6 @@ void ClusterManager::register_tenant(const std::string& id, double weight,
   cfg.weight = weight;
   cfg.budget_usd = budget_usd;
   register_tenant(std::move(cfg));
-}
-
-bool ClusterManager::has_tenant(const std::string& id) const {
-  std::lock_guard lock(mutex_);
-  return tenants_.count(id) != 0;
 }
 
 std::size_t ClusterManager::tenant_count() const {
@@ -157,7 +151,6 @@ Expected<JobId> ClusterManager::submit(JobSpec spec) {
       role.evaluate(cloud::Action::kRunInstances, ranks, 0);
   if (!per_request.allowed) {
     ++stats_.rejected_quota;
-    prof::counter("sched.rejected.quota").add();
     return Status::resource_exhausted("quota: " + per_request.reason +
                                       "; reduce the request");
   }
@@ -167,7 +160,6 @@ Expected<JobId> ClusterManager::submit(JobSpec spec) {
       role.evaluate(cloud::Action::kRunInstances, ranks, outstanding);
   if (!concurrent.allowed) {
     ++stats_.rejected_quota;
-    prof::counter("sched.rejected.quota").add();
     char hint[64];
     std::snprintf(hint, sizeof(hint), "; retry after ~%.2fh",
                   suggested_retry_locked(spec.tenant));
@@ -184,7 +176,6 @@ Expected<JobId> ClusterManager::submit(JobSpec spec) {
   const double projected = committed + tenant.projected_usd + estimate;
   if (projected > tenant.cfg.budget_usd + kBudgetEps) {
     ++stats_.rejected_budget;
-    prof::counter("sched.rejected.budget").add();
     char msg[160];
     std::snprintf(msg, sizeof(msg),
                   "budget: projected spend $%.2f exceeds %s's cap of $%.2f",
@@ -203,7 +194,6 @@ Expected<JobId> ClusterManager::submit(JobSpec spec) {
   jobs_.emplace(id, std::move(rec));
   queue_.push_back(id);
   ++stats_.admitted;
-  prof::counter("sched.admitted").add();
   schedule_pass();
   return id;
 }
@@ -240,7 +230,6 @@ void ClusterManager::bring_up_node(int idx) {
   node.idle_since_h = now_h_;
   node.rate_usd = is_spot ? spot_rate_ : ondemand_rate_;
   ++stats_.launches;
-  prof::counter("sched.fleet.launches").add();
 }
 
 void ClusterManager::take_down_node(int idx) {
@@ -299,7 +288,6 @@ void ClusterManager::place_job(JobRecord& rec, const std::vector<int>& nodes) {
   } else {
     ++rec.restarts;
     ++stats_.restarts;
-    prof::counter("sched.restarts").add();
   }
   run.lease_id =
       "lease-" + std::to_string(rec.id) + "-" + std::to_string(rec.restarts);
@@ -418,7 +406,6 @@ void ClusterManager::schedule_pass() {
       if (!by_shadow) extra -= ranks;
       if (rec.first_start_h < 0.0) rec.backfilled = true;
       ++stats_.backfills;
-      prof::counter("sched.backfills").add();
     }
     const bool prefer_spot = rec.spec.ranks == 1;  // gangs avoid spot churn
     place_job(rec, take_nodes(rec.spec.ranks, prefer_spot));
@@ -478,15 +465,12 @@ void ClusterManager::finalize(JobRecord& rec, JobState state, Status status) {
   switch (state) {
     case JobState::kCompleted:
       ++stats_.completed;
-      prof::counter("sched.completed").add();
       break;
     case JobState::kKilled:
       ++stats_.killed;
-      prof::counter("sched.killed").add();
       break;
     case JobState::kFailed:
       ++stats_.failed;
-      prof::counter("sched.failed").add();
       break;
     default:
       break;
@@ -568,7 +552,6 @@ void ClusterManager::preempt_job(JobRecord& rec, Running run, int lost_node) {
   rec.done_h = std::min(rec.spec.service_h, rec.done_h + kept);
   ++rec.preemptions;
   ++stats_.preemptions;
-  prof::counter("sched.preemptions").add();
   rec.state = JobState::kQueued;
   Tenant& tenant = tenants_.at(rec.spec.tenant);
   tenant.running_ranks -= rec.spec.ranks;
@@ -829,13 +812,6 @@ int ClusterManager::nodes_up() const {
   int up = 0;
   for (const Node& n : nodes_) up += n.up ? 1 : 0;
   return up;
-}
-
-int ClusterManager::nodes_busy() const {
-  std::lock_guard lock(mutex_);
-  int busy = 0;
-  for (const Node& n : nodes_) busy += (n.up && n.job != 0) ? 1 : 0;
-  return busy;
 }
 
 ManagerStats ClusterManager::stats() const {

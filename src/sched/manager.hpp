@@ -121,7 +121,6 @@ class ClusterManager {
   void register_tenant(TenantConfig config);
   void register_tenant(const std::string& id, double weight = 1.0,
                        double budget_usd = 0.0);
-  bool has_tenant(const std::string& id) const;
   std::size_t tenant_count() const;
   double budget_cap(const std::string& tenant) const;
 
@@ -162,7 +161,6 @@ class ClusterManager {
   std::size_t queued_count() const;
   std::size_t running_count() const;
   int nodes_up() const;
-  int nodes_busy() const;
   ManagerStats stats() const;
   const ManagerConfig& config() const { return config_; }
 

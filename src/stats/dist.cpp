@@ -7,18 +7,12 @@
 
 namespace sagesim::stats {
 
-double normal_pdf(double x) {
-  return std::exp(-0.5 * x * x) / 2.5066282746310002;
-}
-
 double normal_cdf(double x) { return 0.5 * std::erfc(-x / 1.4142135623730951); }
 
 double normal_cdf(double x, double mean, double sd) {
   if (!(sd > 0.0)) throw std::domain_error("normal_cdf: sd must be > 0");
   return normal_cdf((x - mean) / sd);
 }
-
-double normal_quantile(double p) { return inverse_normal_cdf(p); }
 
 double t_cdf(double x, double df) {
   if (!(df > 0.0)) throw std::domain_error("t_cdf: df must be > 0");

@@ -4,17 +4,11 @@
 
 namespace sagesim::stats {
 
-/// Standard normal PDF.
-double normal_pdf(double x);
-
 /// Standard normal CDF.
 double normal_cdf(double x);
 
 /// Normal CDF with location/scale.
 double normal_cdf(double x, double mean, double sd);
-
-/// Standard normal quantile (alias of inverse_normal_cdf).
-double normal_quantile(double p);
 
 /// Student t CDF with @p df degrees of freedom.
 double t_cdf(double x, double df);

@@ -7,7 +7,6 @@
 
 #include "core/distributed_gcn.hpp"
 #include "core/lab_runner.hpp"
-#include "core/version.hpp"
 #include "mem/buffer.hpp"
 
 namespace core = sagesim::core;
@@ -40,12 +39,6 @@ core::DistributedGcnConfig fast_config(int k) {
 }
 
 }  // namespace
-
-TEST(Version, IsPopulated) {
-  EXPECT_STREQ(sagesim::version(), "1.0.0");
-  EXPECT_NE(std::string(sagesim::description()).find("sagesim"),
-            std::string::npos);
-}
 
 TEST(Alg1, SequentialBaselineLearns) {
   const auto ds = small_dataset();

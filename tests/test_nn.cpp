@@ -479,57 +479,6 @@ TEST(Gcn, SameSeedGivesIdenticalReplicas) {
   for (std::size_t i = 0; i < ya.size(); ++i) ASSERT_FLOAT_EQ(ya[i], yb[i]);
 }
 
-// --- schedules & early stopping ----------------------------------------------------
-
-#include "nn/schedule.hpp"
-
-TEST(Schedule, StepDecayHalvesAtBoundaries) {
-  nn::StepDecay s(1.0f, 10, 0.5f);
-  EXPECT_FLOAT_EQ(s.lr(0), 1.0f);
-  EXPECT_FLOAT_EQ(s.lr(9), 1.0f);
-  EXPECT_FLOAT_EQ(s.lr(10), 0.5f);
-  EXPECT_FLOAT_EQ(s.lr(25), 0.25f);
-  EXPECT_THROW(nn::StepDecay(1.0f, 0, 0.5f), std::invalid_argument);
-  EXPECT_THROW(nn::StepDecay(1.0f, 5, 1.5f), std::invalid_argument);
-}
-
-TEST(Schedule, CosineAnnealsMonotonicallyToMin) {
-  nn::CosineAnnealing s(1.0f, 0.1f, 100);
-  EXPECT_NEAR(s.lr(0), 1.0f, 1e-6f);
-  EXPECT_NEAR(s.lr(50), 0.55f, 1e-3f);  // midpoint of the cosine
-  EXPECT_NEAR(s.lr(100), 0.1f, 1e-6f);
-  EXPECT_NEAR(s.lr(1000), 0.1f, 1e-6f);  // clamps after the horizon
-  for (std::size_t t = 1; t <= 100; ++t) EXPECT_LE(s.lr(t), s.lr(t - 1) + 1e-7f);
-}
-
-TEST(Schedule, WarmupRampsThenDelegates) {
-  nn::ConstantLr base(0.8f);
-  nn::Warmup w(base, 4);
-  EXPECT_FLOAT_EQ(w.lr(0), 0.2f);
-  EXPECT_FLOAT_EQ(w.lr(3), 0.8f);
-  EXPECT_FLOAT_EQ(w.lr(10), 0.8f);
-}
-
-TEST(EarlyStopping, StopsAfterPatienceWithoutImprovement) {
-  nn::EarlyStopping es(3, 0.01);
-  EXPECT_FALSE(es.observe(1.0));
-  EXPECT_FALSE(es.observe(0.8));   // improvement
-  EXPECT_FALSE(es.observe(0.799)); // < min_delta: bad 1
-  EXPECT_FALSE(es.observe(0.81));  // bad 2
-  EXPECT_TRUE(es.observe(0.85));   // bad 3 -> stop
-  EXPECT_TRUE(es.stopped());
-  EXPECT_DOUBLE_EQ(es.best(), 0.8);
-}
-
-TEST(EarlyStopping, ImprovementResetsStreak) {
-  nn::EarlyStopping es(2);
-  es.observe(1.0);
-  es.observe(1.1);       // bad 1
-  es.observe(0.9);       // improvement resets
-  es.observe(1.0);       // bad 1
-  EXPECT_FALSE(es.stopped());
-}
-
 // --- extended metrics ----------------------------------------------------------------
 
 TEST(Metrics, PerClassPrecisionRecallF1) {
@@ -558,131 +507,4 @@ TEST(Metrics, ZeroDivisionHandledAsZero) {
   EXPECT_DOUBLE_EQ(pm[1].precision, 0.0);
   EXPECT_DOUBLE_EQ(pm[1].recall, 0.0);
   EXPECT_DOUBLE_EQ(pm[1].f1, 0.0);
-}
-
-// --- BatchNorm1d ----------------------------------------------------------------
-
-#include "nn/batchnorm.hpp"
-
-TEST(BatchNorm, NormalizesTrainingBatch) {
-  nn::BatchNorm1d bn(3);
-  Rng rng(40);
-  tensor::Tensor x(64, 3);
-  for (std::size_t r = 0; r < 64; ++r) {
-    x.at(r, 0) = static_cast<float>(rng.normal(5.0, 2.0));
-    x.at(r, 1) = static_cast<float>(rng.normal(-3.0, 0.5));
-    x.at(r, 2) = static_cast<float>(rng.normal(0.0, 10.0));
-  }
-  const auto y = bn.forward(nullptr, x, /*train=*/true);
-  for (std::size_t f = 0; f < 3; ++f) {
-    double m = 0.0, v = 0.0;
-    for (std::size_t r = 0; r < 64; ++r) m += y.at(r, f);
-    m /= 64.0;
-    for (std::size_t r = 0; r < 64; ++r) {
-      const double d = y.at(r, f) - m;
-      v += d * d;
-    }
-    v /= 64.0;
-    EXPECT_NEAR(m, 0.0, 1e-4);
-    EXPECT_NEAR(v, 1.0, 1e-2);
-  }
-}
-
-TEST(BatchNorm, GammaBetaScaleAndShift) {
-  nn::BatchNorm1d bn(2);
-  bn.gamma().value[0] = 3.0f;
-  bn.beta().value[1] = -2.0f;
-  Rng rng(41);
-  tensor::Tensor x(32, 2);
-  x.init_uniform(rng, -1, 1);
-  const auto y = bn.forward(nullptr, x, true);
-  double m1 = 0.0;
-  for (std::size_t r = 0; r < 32; ++r) m1 += y.at(r, 1);
-  EXPECT_NEAR(m1 / 32.0, -2.0, 1e-4);  // beta shifts the mean
-  double v0 = 0.0, m0 = 0.0;
-  for (std::size_t r = 0; r < 32; ++r) m0 += y.at(r, 0);
-  m0 /= 32.0;
-  for (std::size_t r = 0; r < 32; ++r) v0 += (y.at(r, 0) - m0) * (y.at(r, 0) - m0);
-  EXPECT_NEAR(v0 / 32.0, 9.0, 0.2);  // gamma scales the sd
-}
-
-TEST(BatchNorm, InferenceUsesRunningStats) {
-  nn::BatchNorm1d bn(1, /*momentum=*/1.0f);  // adopt batch stats directly
-  tensor::Tensor x(4, 1);
-  x[0] = 0.0f; x[1] = 2.0f; x[2] = 4.0f; x[3] = 6.0f;  // mean 3, var 5
-  bn.forward(nullptr, x, true);
-  EXPECT_NEAR(bn.running_mean()[0], 3.0f, 1e-5f);
-  EXPECT_NEAR(bn.running_var()[0], 5.0f, 1e-4f);
-  tensor::Tensor single(1, 1);
-  single[0] = 3.0f;
-  const auto y = bn.forward(nullptr, single, /*train=*/false);
-  EXPECT_NEAR(y[0], 0.0f, 1e-4f);  // (3 - 3)/sqrt(5) = 0
-}
-
-TEST(BatchNorm, InputGradientCheck) {
-  Rng rng(42);
-  nn::BatchNorm1d bn(4);
-  bn.gamma().value.init_uniform(rng, 0.5f, 1.5f);
-  bn.beta().value.init_uniform(rng, -0.5f, 0.5f);
-  tensor::Tensor x(8, 4);
-  x.init_uniform(rng, -2, 2);
-
-  // Numeric check of dL/dx with L = sum(out * w).
-  tensor::Tensor w(8, 4);
-  w.init_uniform(rng, -1, 1);
-
-  auto loss_at = [&](tensor::Tensor& input) {
-    const auto o = bn.forward(nullptr, input, true);
-    double l = 0.0;
-    for (std::size_t i = 0; i < o.size(); ++i)
-      l += static_cast<double>(o[i]) * w[i];
-    return l;
-  };
-
-  bn.gamma().zero_grad();
-  bn.beta().zero_grad();
-  bn.forward(nullptr, x, true);
-  const auto dx = bn.backward(nullptr, w);
-
-  const float eps = 1e-2f;
-  for (std::size_t i = 0; i < x.size(); i += 5) {
-    const float saved = x[i];
-    x[i] = saved + eps;
-    const double hi = loss_at(x);
-    x[i] = saved - eps;
-    const double lo = loss_at(x);
-    x[i] = saved;
-    ASSERT_NEAR(dx[i], (hi - lo) / (2.0 * eps), 3e-2) << "coordinate " << i;
-  }
-
-  // Parameter gradients: dL/dgamma = sum(w * xhat), dL/dbeta = sum(w) per
-  // feature; verify beta numerically (simplest closed form).
-  for (std::size_t f = 0; f < 4; ++f) {
-    double expected = 0.0;
-    for (std::size_t r = 0; r < 8; ++r) expected += w.at(r, f);
-    ASSERT_NEAR(bn.beta().grad[f], expected, 1e-3);
-  }
-}
-
-TEST(BatchNorm, DeviceMatchesHost) {
-  Rng rng(43);
-  sagesim::gpu::DeviceManager dm(1, sagesim::gpu::spec::test_tiny());
-  nn::BatchNorm1d host_bn(5), dev_bn(5);
-  tensor::Tensor x(16, 5);
-  x.init_uniform(rng, -3, 3);
-  const auto yh = host_bn.forward(nullptr, x, true);
-  const auto yd = dev_bn.forward(&dm.device(0), x, true);
-  for (std::size_t i = 0; i < yh.size(); ++i) ASSERT_NEAR(yh[i], yd[i], 1e-5f);
-}
-
-TEST(BatchNorm, Validation) {
-  EXPECT_THROW(nn::BatchNorm1d(0), std::invalid_argument);
-  EXPECT_THROW(nn::BatchNorm1d(4, 0.0f), std::invalid_argument);
-  nn::BatchNorm1d bn(4);
-  tensor::Tensor one_row(1, 4);
-  EXPECT_THROW(bn.forward(nullptr, one_row, true), std::invalid_argument);
-  tensor::Tensor wrong(4, 3);
-  EXPECT_THROW(bn.forward(nullptr, wrong, true), std::invalid_argument);
-  tensor::Tensor dy(4, 4);
-  EXPECT_THROW(bn.backward(nullptr, dy), std::logic_error);
 }

@@ -7,7 +7,6 @@
 
 #include "prof/bottleneck.hpp"
 #include "prof/chrome_trace.hpp"
-#include "prof/host_timer.hpp"
 #include "prof/report.hpp"
 #include "prof/trace.hpp"
 
@@ -208,14 +207,6 @@ TEST(Report, SummaryTableHasDerivedRates) {
   const auto text = prof::summary_table(tl);
   EXPECT_NE(text.find("k"), std::string::npos);
   EXPECT_NE(text.find("GFLOP/s"), std::string::npos);
-}
-
-TEST(HostTimer, MeasuresElapsedTime) {
-  prof::HostTimer timer;
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  EXPECT_GE(timer.elapsed_ms(), 9.0);
-  timer.reset();
-  EXPECT_LT(timer.elapsed_ms(), 9.0);
 }
 
 TEST(EventKind, NamesAreStable) {

@@ -672,6 +672,37 @@ TEST_F(ServerFixture, ResultCacheServesExactRepeats) {
   server.stop();
   const auto stats = server.stats();
   EXPECT_EQ(stats.result_hits, queries.size());
+  EXPECT_EQ(stats.result_misses, queries.size());
+  EXPECT_EQ(stats.completed, 2 * queries.size());
+  // Only the first pass reached a batch, and it encoded every query once.
+  EXPECT_EQ(stats.embed_misses, queries.size());
+  EXPECT_EQ(stats.embed_hits, 0u);
+  EXPECT_EQ(stats.batched_queries, queries.size());
+}
+
+TEST_F(ServerFixture, EmbeddingCacheServesRepeatsWithResultCacheOff) {
+  auto pipeline = make_pipeline();
+  rag::ServeOptions opts;
+  opts.max_batch = 4;
+  opts.max_delay_us = 0;
+  opts.result_cache_entries = 0;  // every repeat goes through a batch
+  rag::Server server(*pipeline, opts);
+  const auto queries = make_queries(4);
+
+  std::vector<rag::RagAnswer> first;
+  for (const auto& q : queries) first.push_back(server.answer(q).value());
+  // Repeats skip the encoder but still retrieve and generate, bit-identically.
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const auto again = server.answer(queries[i]).value();
+    EXPECT_EQ(again.text, first[i].text);
+    EXPECT_EQ(again.retrieved, first[i].retrieved);
+  }
+  server.stop();
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.embed_hits, queries.size());
+  EXPECT_EQ(stats.embed_misses, queries.size());
+  EXPECT_EQ(stats.result_hits, 0u);
+  EXPECT_EQ(stats.batched_queries, 2 * queries.size());
   EXPECT_EQ(stats.completed, 2 * queries.size());
 }
 

@@ -4,6 +4,7 @@
 // a retry-after hint), budget-cap projection at admission and the mid-job
 // cutoff backstop under spot churn, preempted-payload restart that resumes
 // bit-identically from its checkpoint through the manager's requeue path,
+// terminal payload failure (non-retryable, or retries exhausted),
 // starvation freedom via priority aging, the tenant ledger's spot /
 // on-demand split, the job-control cancellation surface, the semester load
 // generator, and a concurrent submit/advance hammer for TSAN.
@@ -377,6 +378,7 @@ TEST(BudgetCap, MidJobCutoffUnderRepeatedSpotPreemption) {
   EXPECT_EQ(rec.state, sched::JobState::kKilled);
   EXPECT_EQ(rec.final_status.code(), ErrorCode::kResourceExhausted);
   EXPECT_GE(rec.preemptions, 2);
+  EXPECT_EQ(mgr.stats().killed, 1u);
   const cloud::TenantLedger ledger = mgr.tenant_ledger();
   EXPECT_LE(ledger.spend("spender"), cap + 1e-6);
   EXPECT_NEAR(ledger.spend("spender"), cap, 0.05);
@@ -474,6 +476,52 @@ TEST(PayloadRestart, ResumesBitIdenticallyThroughManagerRequeue) {
   ASSERT_EQ(losses.size(), full->epoch_losses.size());
   for (std::size_t e = 0; e < losses.size(); ++e)
     ASSERT_EQ(losses[e], full->epoch_losses[e]) << "epoch " << e;
+}
+
+// --- payload failure -----------------------------------------------------
+
+TEST(PayloadFailure, EndsJobFailed) {
+  int attempts = 0;
+  sched::ClusterManager mgr(fleet(1));
+  mgr.register_tenant(unlimited("student"));
+
+  // A non-retryable payload error fails the job on its first attempt and
+  // carries the payload's Status.
+  sched::JobSpec broken = synthetic("student", 1, 0.5);
+  broken.work = [&](sched::JobContext&) -> Expected<double> {
+    ++attempts;
+    return Status::data_loss("corrupt input shard (simulated)");
+  };
+  const sched::JobId broken_id = *mgr.submit(std::move(broken));
+  ASSERT_TRUE(mgr.drain());
+  const sched::JobRecord rec = mgr.job(broken_id);
+  EXPECT_EQ(rec.state, sched::JobState::kFailed);
+  EXPECT_EQ(rec.final_status.code(), ErrorCode::kDataLoss);
+  EXPECT_EQ(rec.final_status.message(), "corrupt input shard (simulated)");
+  EXPECT_EQ(attempts, 1);
+  EXPECT_EQ(rec.restarts, 0);
+  EXPECT_EQ(mgr.stats().failed, 1u);
+
+  // A payload that fails retryably on every attempt is requeued until
+  // max_attempts runs are spent, then fails with the last Status.
+  attempts = 0;
+  sched::JobSpec flaky = synthetic("student", 1, 0.5);
+  flaky.max_attempts = 3;
+  flaky.work = [&](sched::JobContext& ctx) -> Expected<double> {
+    EXPECT_EQ(ctx.attempt, attempts);
+    ++attempts;
+    return Status::unavailable("rank down (simulated)");
+  };
+  const sched::JobId flaky_id = *mgr.submit(std::move(flaky));
+  ASSERT_TRUE(mgr.drain());
+  const sched::JobRecord flaky_rec = mgr.job(flaky_id);
+  EXPECT_EQ(flaky_rec.state, sched::JobState::kFailed);
+  EXPECT_EQ(flaky_rec.final_status.code(), ErrorCode::kUnavailable);
+  EXPECT_TRUE(flaky_rec.final_status.retryable());
+  EXPECT_EQ(attempts, 3);
+  EXPECT_EQ(flaky_rec.restarts, 2);
+  EXPECT_EQ(mgr.stats().failed, 2u);
+  EXPECT_EQ(mgr.stats().completed, 0u);
 }
 
 // --- workload adapters ----------------------------------------------------
@@ -599,6 +647,8 @@ TEST(Autoscale, GrowsForDemandAndReleasesIdleNodes) {
   const sched::ManagerStats stats = mgr.stats();
   EXPECT_EQ(stats.peak_nodes, 8);
   EXPECT_GT(stats.terminations, 0u);
+  EXPECT_EQ(stats.launches - stats.terminations,
+            static_cast<std::size_t>(mgr.nodes_up()));
   EXPECT_GT(stats.utilization(), 0.0);
   EXPECT_LE(stats.busy_node_hours, stats.up_node_hours + 1e-9);
 
@@ -745,6 +795,7 @@ TEST(Concurrency, ParallelSubmittersRaceTheEventLoop) {
 
   EXPECT_EQ(admitted.load(), kThreads * kJobs);
   const sched::ManagerStats stats = mgr.stats();
+  EXPECT_EQ(stats.admitted, static_cast<std::size_t>(admitted.load()));
   EXPECT_EQ(stats.completed, static_cast<std::size_t>(admitted.load()));
   EXPECT_EQ(mgr.queued_count(), 0u);
   EXPECT_EQ(mgr.running_count(), 0u);

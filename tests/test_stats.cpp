@@ -531,8 +531,9 @@ TEST_P(MannWhitneyConsistency, ExactAndApproxAgreeOnClearSeparation) {
   const auto r = stats::mann_whitney_u(a, b);
   EXPECT_DOUBLE_EQ(r.u, 0.0);
   EXPECT_LT(r.p_value, 0.11);  // smallest achievable two-sided p shrinks in n
-  if (static_cast<std::size_t>(n) * static_cast<std::size_t>(n) <= 400)
+  if (static_cast<std::size_t>(n) * static_cast<std::size_t>(n) <= 400) {
     EXPECT_TRUE(r.exact);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, MannWhitneyConsistency,
