@@ -182,7 +182,7 @@ int main(int argc, char** argv) {
   }
 
   // Worker-count scaling on the heaviest shape: per-worker rows so a
-  // baseline records how the plan executor scales on the host it ran on
+  // baseline records how the GEMM's parallel_for scales on the host it ran on
   // (cpus_online in the JSON tells the reader how much scaling was even
   // physically possible).
   const Shape scale_shape = *std::max_element(

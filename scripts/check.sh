@@ -53,6 +53,17 @@ if grep -rnE --include=CMakeLists.txt -e '-ffast-math|-march=native' .; then
 fi
 echo "configuration is code"
 
+step "static: one fork/join loop"
+# Host kernels fork/join only through gpu::Executor::parallel_for (on
+# compute::executor()); a second helper-task claim loop in the kernel
+# layers fails here.
+if grep -rnE 'submit_any|scheduler\(\)|condition_variable' \
+    src/compute src/tensor src/graph/spmm.cpp; then
+  echo "error: helper-task loop in a host kernel layer (use compute::executor().parallel_for)"
+  exit 1
+fi
+echo "one fork/join loop"
+
 step "static: no test-only modules"
 # Every header under src/ must be included by library code other than its
 # own .cpp, or by a bench, example or perfbench; a module only tests reach
@@ -114,9 +125,9 @@ step "perf: microbench smoke"
 ctest --test-dir build --output-on-failure -L perf
 
 step "perf: multi-worker kernel smoke"
-# Exercise the compute plans on an oversubscribed pool (worker count beyond
-# SAGESIM_WORKERS and likely beyond the core count) — bit-identity and
-# completion are the assertions here, not speed.
+# Exercise the GEMM and SpMM parallel_for loops on an oversubscribed pool
+# (worker count beyond SAGESIM_WORKERS and likely beyond the core count) —
+# bit-identity and completion are the assertions here, not speed.
 SAGESIM_WORKERS=4 ./build/bench/microbench_gemm --smoke --workers 1,4 \
   --json /dev/null >/dev/null
 SAGESIM_WORKERS=4 ./build/bench/microbench_spmm --smoke --workers 1,4 \

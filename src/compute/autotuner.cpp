@@ -27,12 +27,6 @@ std::string spmm_key(std::size_t nodes, std::size_t nnz, std::size_t d) {
   return os.str();
 }
 
-std::string ddp_key(std::size_t flat_bytes, std::size_t ranks) {
-  std::ostringstream os;
-  os << flat_bytes << ' ' << ranks;
-  return os.str();
-}
-
 std::string hnsw_key(std::size_t count, std::size_t dim, std::size_t k) {
   std::ostringstream os;
   os << count << ' ' << dim << ' ' << k;
@@ -105,18 +99,6 @@ SpmmTiling Autotuner::spmm_tiling(std::size_t nodes, std::size_t nnz,
   return default_spmm_tiling();
 }
 
-std::size_t Autotuner::ddp_bucket_bytes(std::size_t flat_bytes,
-                                        std::size_t ranks) {
-  std::lock_guard lock(mutex_);
-  const auto it = ddp_.find(ddp_key(flat_bytes, ranks));
-  if (it != ddp_.end()) {
-    ++stats_.hits;
-    return it->second;
-  }
-  ++stats_.misses;
-  return 0;
-}
-
 std::size_t Autotuner::hnsw_ef(std::size_t count, std::size_t dim,
                                std::size_t k) {
   std::lock_guard lock(mutex_);
@@ -142,13 +124,6 @@ void Autotuner::record_spmm(std::size_t nodes, std::size_t nnz, std::size_t d,
                             SpmmTiling t) {
   std::lock_guard lock(mutex_);
   spmm_[spmm_key(nodes, nnz, d)] = t;
-  maybe_persist_locked();
-}
-
-void Autotuner::record_ddp(std::size_t flat_bytes, std::size_t ranks,
-                           std::size_t bucket_bytes) {
-  std::lock_guard lock(mutex_);
-  ddp_[ddp_key(flat_bytes, ranks)] = bucket_bytes;
   maybe_persist_locked();
 }
 
@@ -204,11 +179,6 @@ std::vector<SpmmTiling> Autotuner::spmm_candidates(std::size_t d) {
   return out;
 }
 
-std::vector<std::size_t> Autotuner::ddp_bucket_candidates() {
-  return {std::size_t{1} << 20, std::size_t{2} << 20, std::size_t{4} << 20,
-          std::size_t{8} << 20, std::size_t{16} << 20};
-}
-
 std::vector<std::size_t> Autotuner::hnsw_ef_candidates() {
   return {16, 32, 64, 128, 256};
 }
@@ -257,27 +227,6 @@ SpmmTiling Autotuner::tune_spmm(
   return best;
 }
 
-std::size_t Autotuner::tune_ddp(
-    std::size_t flat_bytes, std::size_t ranks,
-    const std::function<double(std::size_t)>& time_fn) {
-  std::size_t best = 0;
-  double best_s = std::numeric_limits<double>::infinity();
-  for (const std::size_t b : ddp_bucket_candidates()) {
-    const double s = time_fn(b);
-    if (s < best_s) {
-      best_s = s;
-      best = b;
-    }
-  }
-  {
-    std::lock_guard lock(mutex_);
-    ++stats_.searches;
-    ddp_[ddp_key(flat_bytes, ranks)] = best;
-    maybe_persist_locked();
-  }
-  return best;
-}
-
 std::size_t Autotuner::tune_hnsw(
     std::size_t count, std::size_t dim, std::size_t k,
     const std::function<double(std::size_t)>& time_fn) {
@@ -311,7 +260,6 @@ bool Autotuner::load(const std::string& path) {
 
   std::map<std::string, GemmTiling> gemm;
   std::map<std::string, SpmmTiling> spmm;
-  std::map<std::string, std::size_t> ddp;
   std::map<std::string, std::size_t> hnsw;
 
   const auto reject = [&](const char* why) {
@@ -322,7 +270,6 @@ bool Autotuner::load(const std::string& path) {
     std::lock_guard lock(mutex_);
     gemm_.clear();
     spmm_.clear();
-    ddp_.clear();
     hnsw_.clear();
     stats_.corrupt = true;
     return false;
@@ -357,13 +304,6 @@ bool Autotuner::load(const std::string& path) {
       std::ostringstream key;
       key << isa_tag << ' ' << nodes << ' ' << nnz << ' ' << d;
       spmm[key.str()] = t;
-    } else if (tag == "ddp") {
-      std::size_t flat_bytes = 0, ranks = 0, bucket = 0;
-      ls >> flat_bytes >> ranks >> bucket;
-      if (ls.fail() || bucket == 0) return reject("has a corrupt ddp entry");
-      std::ostringstream key;
-      key << flat_bytes << ' ' << ranks;
-      ddp[key.str()] = bucket;
     } else if (tag == "hnsw") {
       std::size_t count = 0, dim = 0, k = 0, ef = 0;
       ls >> count >> dim >> k >> ef;
@@ -379,7 +319,6 @@ bool Autotuner::load(const std::string& path) {
   std::lock_guard lock(mutex_);
   gemm_ = std::move(gemm);
   spmm_ = std::move(spmm);
-  ddp_ = std::move(ddp);
   hnsw_ = std::move(hnsw);
   stats_.loaded = true;
   return true;
@@ -399,7 +338,6 @@ bool Autotuner::save_locked(const std::string& path) const {
         << t.nc << ' ' << t.kc << '\n';
   for (const auto& [key, t] : spmm_)
     out << "spmm " << key << ' ' << t.row_block << ' ' << t.tile_width << '\n';
-  for (const auto& [key, b] : ddp_) out << "ddp " << key << ' ' << b << '\n';
   for (const auto& [key, ef] : hnsw_)
     out << "hnsw " << key << ' ' << ef << '\n';
   return static_cast<bool>(out);
@@ -423,13 +361,12 @@ void Autotuner::clear() {
   std::lock_guard lock(mutex_);
   gemm_.clear();
   spmm_.clear();
-  ddp_.clear();
   hnsw_.clear();
 }
 
 std::size_t Autotuner::entry_count() const {
   std::lock_guard lock(mutex_);
-  return gemm_.size() + spmm_.size() + ddp_.size() + hnsw_.size();
+  return gemm_.size() + spmm_.size() + hnsw_.size();
 }
 
 }  // namespace sagesim::compute

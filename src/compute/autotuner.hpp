@@ -2,22 +2,23 @@
 // constants.
 //
 // Every host kernel family exposes its tunable knobs as a small POD tiling
-// (GEMM macro/micro tiles, SpMM row block + feature tile width, the DDP
-// gradient-bucket size).  The Autotuner maps an exact shape key to the
-// winning tiling:
+// (GEMM macro/micro tiles, SpMM row block + feature tile width, the HNSW
+// search beam).  The Autotuner maps an exact shape key to the winning
+// tiling:
 //
-//  * consult (gemm_tiling / spmm_tiling / ddp_bucket_bytes) is cheap — a
-//    cache lookup falling back to the built-in heuristic defaults — and is
-//    what tensor::ops, graph::spmm and ddp::SyncOptions call on the hot
-//    path.  Training reuses identical shapes every step, so exact keys hit.
-//  * search (tune_gemm / tune_spmm / tune_ddp) times caller-provided
+//  * consult (gemm_tiling / spmm_tiling / hnsw_ef) is cheap — a cache
+//    lookup falling back to the built-in heuristic defaults — and is what
+//    tensor::ops, graph::spmm and rag::HnswIndex call on the hot path.
+//    Training reuses identical shapes every step, so exact keys hit.
+//  * search (tune_gemm / tune_spmm / tune_hnsw) times caller-provided
 //    candidates, records the winner, and persists it.  Benches and the
 //    conformance tests drive search explicitly; it never runs implicitly
 //    inside a kernel launch.
 //
-// Results are bit-identical across tilings by the plan-layer determinism
-// argument (tiles partition outputs; reduction order per element is fixed),
-// so a stale or missing cache entry can only cost time, never correctness.
+// GEMM and SpMM results are bit-identical across tilings because each
+// writes every output element from exactly one parallel_for index in a
+// fixed reduction order (see compute/plan.hpp), so a stale or missing cache
+// entry can only cost time, never correctness.
 //
 // Persistence: SAGESIM_TUNE_CACHE names an on-disk cache consulted by
 // Autotuner::shared() at first use and rewritten after each search.  The
@@ -72,9 +73,6 @@ class Autotuner {
   // --- consult (hot path) --------------------------------------------------
   GemmTiling gemm_tiling(std::size_t m, std::size_t n, std::size_t k);
   SpmmTiling spmm_tiling(std::size_t nodes, std::size_t nnz, std::size_t d);
-  /// Tuned DDP bucket size for (replica bytes, ranks), or 0 when untuned —
-  /// the caller (ddp::resolve_bucket_bytes) applies its own default.
-  std::size_t ddp_bucket_bytes(std::size_t flat_bytes, std::size_t ranks);
   /// Tuned HNSW search beam (ef_search) for an (index size, dim, k) shape,
   /// or 0 when untuned — rag::HnswIndex applies its configured default.
   std::size_t hnsw_ef(std::size_t count, std::size_t dim, std::size_t k);
@@ -83,14 +81,11 @@ class Autotuner {
   void record_gemm(std::size_t m, std::size_t n, std::size_t k, GemmTiling t);
   void record_spmm(std::size_t nodes, std::size_t nnz, std::size_t d,
                    SpmmTiling t);
-  void record_ddp(std::size_t flat_bytes, std::size_t ranks,
-                  std::size_t bucket_bytes);
 
   /// Candidate grids, pruned to the shape and the runtime ISA.
   static std::vector<GemmTiling> gemm_candidates(std::size_t m, std::size_t n,
                                                  std::size_t k);
   static std::vector<SpmmTiling> spmm_candidates(std::size_t d);
-  static std::vector<std::size_t> ddp_bucket_candidates();
   static std::vector<std::size_t> hnsw_ef_candidates();
 
   /// Times every candidate with @p time_fn (seconds; lower is better),
@@ -100,8 +95,6 @@ class Autotuner {
                        const std::function<double(const GemmTiling&)>& time_fn);
   SpmmTiling tune_spmm(std::size_t nodes, std::size_t nnz, std::size_t d,
                        const std::function<double(const SpmmTiling&)>& time_fn);
-  std::size_t tune_ddp(std::size_t flat_bytes, std::size_t ranks,
-                       const std::function<double(std::size_t)>& time_fn);
   /// Smaller ef is always faster but recalls less, so unlike the kernel
   /// searches the cost function must fold the quality constraint in: return
   /// +inf for candidates whose measured recall misses the caller's target
@@ -135,7 +128,6 @@ class Autotuner {
   mutable std::mutex mutex_;
   std::map<std::string, GemmTiling> gemm_;
   std::map<std::string, SpmmTiling> spmm_;
-  std::map<std::string, std::size_t> ddp_;
   std::map<std::string, std::size_t> hnsw_;
   TunerStats stats_;
   bool persist_{false};  ///< set for the shared instance when env path set

@@ -67,7 +67,7 @@ struct DistributedGcnConfig {
   /// the documented dask.distributed overhead); dispatch is serialized on
   /// the scheduler.
   double scheduler_overhead_s{1e-3};
-  /// Gradient-bucket size for DDP sync; 0 uses ddp::resolve_bucket_bytes().
+  /// Gradient-bucket size for DDP sync; 0 uses ddp::kDefaultBucketBytes.
   /// The GCN's parameters are small, so per-layer overlap needs buckets well
   /// below the 4 MiB default.
   std::size_t ddp_bucket_bytes{0};

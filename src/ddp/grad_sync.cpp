@@ -3,16 +3,9 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "compute/autotuner.hpp"
 #include "dflow/collectives.hpp"
 
 namespace sagesim::ddp {
-
-std::size_t resolve_bucket_bytes(std::size_t flat_bytes, std::size_t ranks) {
-  const std::size_t tuned =
-      compute::Autotuner::shared().ddp_bucket_bytes(flat_bytes, ranks);
-  return tuned != 0 ? tuned : kDefaultBucketBytes;
-}
 
 GradientSynchronizer::GradientSynchronizer(
     gpu::DeviceManager& devices,
@@ -34,12 +27,7 @@ GradientSynchronizer::GradientSynchronizer(
             "GradientSynchronizer: parameter shape mismatch across replicas");
   }
   for (const nn::Param* p : reference) flat_size_ += p->size();
-
-  // Bucket sizing waits until the replica's flat size is known so the
-  // autotuner can be consulted with the real (bytes, ranks) shape key.
-  if (options_.bucket_bytes == 0)
-    options_.bucket_bytes =
-        resolve_bucket_bytes(flat_size_ * sizeof(float), replicas_.size());
+  if (options_.bucket_bytes == 0) options_.bucket_bytes = kDefaultBucketBytes;
 
   build_plan();
 

@@ -23,9 +23,7 @@ enum class AllReduceAlgo : std::uint8_t {
 /// overlap that DDP's backward hooks provide).
 struct SyncOptions {
   AllReduceAlgo algo{AllReduceAlgo::kRing};
-  /// Bucket granularity in bytes.  0 resolves via resolve_bucket_bytes: a
-  /// compute::Autotuner entry for the replica's (bytes, ranks) shape, else
-  /// kDefaultBucketBytes.
+  /// Bucket granularity in bytes; 0 means kDefaultBucketBytes.
   /// Parameters are bucketed in reverse registration order —
   /// the order backward produces gradients — and one parameter never splits
   /// across buckets.
@@ -37,14 +35,8 @@ struct SyncOptions {
   bool overlap{true};
 };
 
-/// The bucket size of a shape the autotuner has no entry for.
+/// The bucket size a zero SyncOptions::bucket_bytes stands for.
 inline constexpr std::size_t kDefaultBucketBytes = std::size_t{4} << 20;
-
-/// Resolution for SyncOptions::bucket_bytes == 0: a compute::Autotuner entry
-/// for the (replica bytes, rank count) shape, else kDefaultBucketBytes.
-/// This is what the synchronizer's constructor applies once the replica
-/// size is known.
-std::size_t resolve_bucket_bytes(std::size_t flat_bytes, std::size_t ranks);
 
 /// Synchronizes gradients across replicas.
 ///

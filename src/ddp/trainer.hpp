@@ -33,9 +33,8 @@ struct StepStats {
 /// up): collective algorithm, checkpoint placement, retry/deadline policy.
 struct TrainerOptions {
   AllReduceAlgo algo{AllReduceAlgo::kRing};
-  /// Gradient bucket granularity in bytes; 0 resolves via
-  /// ddp::resolve_bucket_bytes — a tuned compute::Autotuner entry, else
-  /// 4 MiB.  See SyncOptions::bucket_bytes.
+  /// Gradient bucket granularity in bytes; 0 means
+  /// ddp::kDefaultBucketBytes (4 MiB).  See SyncOptions::bucket_bytes.
   std::size_t bucket_bytes{0};
   /// Overlap bucketed gradient communication with backward compute on the
   /// per-device comm streams.  See SyncOptions::overlap.

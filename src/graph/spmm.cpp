@@ -170,11 +170,6 @@ __attribute__((target("avx2"))) void row_block_avx2(
       row_tile(px, vals, cols, e0, e1, d, c0, d - c0, py + r * d + c0);
   }
 }
-
-bool spmm_use_avx2() {
-  static const bool v = __builtin_cpu_supports("avx2") > 0;
-  return v;
-}
 #endif  // SAGESIM_SPMM_AVX2
 
 }  // namespace
@@ -203,16 +198,15 @@ void spmm_host_blocked_tiled(const NormalizedAdjacency& a,
       std::max<std::size_t>(1, std::min(tiling.row_block, n));
   const std::size_t tile_width = std::max<std::size_t>(8, tiling.tile_width);
 
-  // The plan here is a flat row-block decomposition — no cross-block
-  // dependencies — so it maps onto parallel_for with a grain instead of a
-  // full dependency graph.  Each output row belongs to exactly one block
-  // and keeps its ascending-edge fold, so worker count and tiling never
-  // perturb result bits.
+  // A flat row-block decomposition run as one parallel_for with a grain.
+  // Each output row belongs to exactly one block and keeps its
+  // ascending-edge fold, so worker count and tiling never perturb result
+  // bits.
   auto block_op = [=](std::size_t blk) {
     const std::size_t r0 = blk * row_block;
     const std::size_t r1 = std::min(r0 + row_block, n);
 #if defined(SAGESIM_SPMM_AVX2)
-    if (spmm_use_avx2()) {
+    if (compute::isa() == compute::Isa::kAvx2) {
       row_block_avx2(px, vals, cols, offs, r0, r1, d, tile_width, py);
       return;
     }

@@ -27,9 +27,9 @@ namespace detail {
 void spmm_host_reference(const NormalizedAdjacency& a, const tensor::Tensor& x,
                          tensor::Tensor& y);
 
-/// Cache-blocked parallel kernel: the row range is decomposed into
-/// compute-plan row blocks (sized by the autotuned SpmmTiling) distributed
-/// over the work-stealing pool with a min-grain floor, and the feature
+/// Cache-blocked parallel kernel: the row range is decomposed into row
+/// blocks (sized by the autotuned SpmmTiling), run as one parallel_for on
+/// compute::executor() with a grain floor, and the feature
 /// dimension is tiled (width capped by the tiling) so the gathered slices
 /// of X stay L1/L2-resident while a block's rows (which share neighbors
 /// under any community structure) reuse them.  Per output element the edge

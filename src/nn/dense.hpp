@@ -12,7 +12,7 @@ namespace sagesim::nn {
 /// applies the ReLU mask before the weight/input gradients — equivalent to
 /// a separate ReLU layer, minus the extra passes.
 ///
-/// On the host path (dev == nullptr) the GEMMs execute as compute plans
+/// On the host path (dev == nullptr) the GEMMs run on the compute executor
 /// with autotuned tilings (see compute/plan.hpp); results stay bit-exact
 /// at any worker count, so layers never need to care about SAGESIM_WORKERS.
 class Dense : public Layer {

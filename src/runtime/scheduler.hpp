@@ -2,7 +2,8 @@
 // execution layer in the repo.
 //
 //  * gpusim::Executor::parallel_for submits chunk tasks here and waits on a
-//    condition variable;
+//    condition variable — the one fork/join loop the host kernels (GEMM,
+//    SpMM) run on, via compute::executor();
 //  * dflow::Cluster owns a rank-pinned instance (one lane per simulated
 //    GPU) and routes submit/map/run_on_all through it;
 //  * core::Workflow schedules DAG stages on the process-shared instance.

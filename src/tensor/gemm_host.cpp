@@ -1,6 +1,7 @@
 #include "tensor/gemm_host.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #if defined(__GNUC__) && defined(__x86_64__)
@@ -15,7 +16,7 @@ namespace sagesim::tensor::ops::detail {
 namespace {
 
 // Below this m*n*k the packing traffic rivals the multiply itself and the
-// fork/join dominates: the whole plan runs inline on the calling thread.
+// fork/join dominates: the whole GEMM runs inline on the calling thread.
 constexpr std::size_t kSerialFlopFloor = 64 * 64 * 64;
 
 inline float a_at(const GemmSpec& s, std::size_t i, std::size_t p) {
@@ -288,49 +289,35 @@ void gemm_host_blocked_tiled(const GemmSpec& s, compute::GemmTiling req) {
   float* ap = apack.floats();
   float* bp = bpack.floats();
 
-  // The macro-tile task graph: pack nodes feed the (ib, jb) tile nodes
-  // that consume them.  Partitioning is over M x N only — every output
-  // element belongs to exactly one tile node — so the graph shape and the
-  // worker count cannot perturb result bits.
-  compute::Plan plan("gemm");
-  std::vector<std::size_t> a_ids(mpanels), b_ids(nblocks);
-  for (std::size_t jb = 0; jb < nblocks; ++jb) {
-    const std::size_t j0 = jb * nc;
-    const std::size_t jcols = std::min(nc, s.n - j0);
-    b_ids[jb] = plan.add(
-        [&s, &t, j0, jcols, dst = bp + b_off[jb]] {
-          pack_b_block(s, j0, jcols, t.nr, dst);
-        });
-  }
-  for (std::size_t ib = 0; ib < mpanels; ++ib) {
-    const std::size_t i0 = ib * t.mc;
-    const std::size_t mrows = std::min(t.mc, s.m - i0);
-    a_ids[ib] = plan.add(
-        [&s, &t, i0, mrows, dst = ap + a_off[ib]] {
-          pack_a_panel(s, i0, mrows, t.mr, dst);
-        });
-  }
-  for (std::size_t ib = 0; ib < mpanels; ++ib) {
-    const std::size_t i0 = ib * t.mc;
-    const std::size_t mrows = std::min(t.mc, s.m - i0);
-    for (std::size_t jb = 0; jb < nblocks; ++jb) {
-      const std::size_t j0 = jb * nc;
-      const std::size_t jcols = std::min(nc, s.n - j0);
-      plan.add(
-          [&s, &t, i0, mrows, j0, jcols, a_src = ap + a_off[ib],
-           b_src = bp + b_off[jb]] {
-            run_tile(s, t, a_src, i0, mrows, b_src, j0, jcols);
-          },
-          {a_ids[ib], b_ids[jb]});
-    }
-  }
-
-  // Min-grain: tiny shapes run the plan inline (compute::run's serial path
-  // claims no scheduler help below the grain either way, but the explicit
-  // floor keeps the decision in one place and cheap to reason about).
-  compute::RunOptions opts;
-  if (s.m * s.n * s.k < kSerialFlopFloor) opts.min_grain = plan.size();
-  compute::run(plan, opts);
+  // Two fork/joins: pack every B block, then one task per MC-row panel
+  // packs its A panel and sweeps it across every B block.  Partitioning is
+  // over M only — every output element belongs to exactly one panel task —
+  // so the worker count cannot perturb result bits.  Tiny shapes run both
+  // loops inline on the calling thread.
+  const std::uint64_t grain =
+      s.m * s.n * s.k < kSerialFlopFloor ? UINT64_MAX : 1;
+  gpu::Executor& ex = compute::executor();
+  ex.parallel_for(
+      nblocks,
+      [&](std::uint64_t jb) {
+        const std::size_t j0 = jb * nc;
+        pack_b_block(s, j0, std::min(nc, s.n - j0), t.nr, bp + b_off[jb]);
+      },
+      grain);
+  ex.parallel_for(
+      mpanels,
+      [&](std::uint64_t ib) {
+        const std::size_t i0 = ib * t.mc;
+        const std::size_t mrows = std::min(t.mc, s.m - i0);
+        float* a_src = ap + a_off[ib];
+        pack_a_panel(s, i0, mrows, t.mr, a_src);
+        for (std::size_t jb = 0; jb < nblocks; ++jb) {
+          const std::size_t j0 = jb * nc;
+          run_tile(s, t, a_src, i0, mrows, bp + b_off[jb], j0,
+                   std::min(nc, s.n - j0));
+        }
+      },
+      grain);
 }
 
 }  // namespace sagesim::tensor::ops::detail

@@ -2,12 +2,11 @@
 // tensor::ops::gemm and its fused-epilogue variants, plus the naive
 // reference loops it is benchmarked and regression-tested against.
 //
-// Since the compute-plan refactor the blocked engine is a thin kernel
-// front-end: it consults compute::Autotuner for a shape-keyed tiling
-// (MR/NR register micro-tile, MC/NC macro panels, KC reduction slabs),
-// describes the macro-tile decomposition as a compute::Plan — pack-A and
-// pack-B nodes feeding dependency-counted tile nodes — and hands the plan
-// to compute::run, which executes it on the work-stealing runtime.
+// The blocked engine consults compute::Autotuner for a shape-keyed tiling
+// (MR/NR register micro-tile, MC/NC macro panels, KC reduction slabs) and
+// runs two gpu::Executor::parallel_for loops on compute::executor(): one
+// packs the NC-wide B blocks, then one task per MC-row panel packs its A
+// panel and computes that panel's tiles across every B block.
 //
 // Both backends accumulate every output element as the same ascending-k
 // chain of float multiply-adds, so they are bit-identical by construction
@@ -15,7 +14,7 @@
 // layout and KC slabbing round-trips the partial sum through a float
 // (exact), never the reduction order.  That is what lets the training
 // stack swap kernels without perturbing the checkpoint bit-identity ladder
-// (see DESIGN.md "Compute plans & autotuning").  No kernel contracts a
+// (see DESIGN.md "Host kernels & autotuning").  No kernel contracts a
 // multiply-add, so the guarantee has no exception.
 #pragma once
 

@@ -1,10 +1,12 @@
-// Tests for the compute module: kernel plans (dependency order, abort,
-// nesting, min-grain), the shape-keyed autotuner (round-trip persistence,
-// corrupt-cache degradation, hostile tiles), and the worker-count sweeps
-// that pin the bit-identity contract — GEMM, SpMM and Algorithm 1 must
-// produce identical bits on 1, 2 and 8 workers.
+// Tests for the compute module: the fork/join shape host kernels rely on
+// (a GEMM launched inside a pool task completes, a grain-collapsed loop
+// stops at the first exception), pooled scratch, the shape-keyed autotuner
+// (round-trip persistence, corrupt-cache degradation, hostile tiles), and
+// the worker-count sweeps that pin the bit-identity contract — GEMM, SpMM
+// and Algorithm 1 must produce identical bits on 1, 2 and 8 workers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <fstream>
@@ -44,114 +46,7 @@ std::string temp_path(const std::string& leaf) {
 
 }  // namespace
 
-// --- plan construction -----------------------------------------------------------
-
-TEST(Plan, AddEnforcesTopologicalOrder) {
-  compute::Plan plan("topo");
-  const std::size_t a = plan.add([] {});
-  EXPECT_EQ(a, 0u);
-  const std::size_t b = plan.add([] {}, {a});
-  EXPECT_EQ(b, 1u);
-  // A dependency on itself or on a not-yet-added node is rejected.
-  EXPECT_THROW(plan.add([] {}, {2}), std::invalid_argument);
-  EXPECT_THROW(plan.add([] {}, {99}), std::invalid_argument);
-  EXPECT_EQ(plan.size(), 2u);
-}
-
-TEST(Plan, EmptyPlanRunsTrivially) {
-  compute::Plan plan("empty");
-  EXPECT_TRUE(plan.empty());
-  compute::run(plan);  // no-op, no throw
-}
-
-TEST(Plan, RunRespectsDependencies) {
-  // Diamond: a -> {b, c} -> d, run on a private 2-worker pool.  Each node
-  // records the completion count it observed; dependencies bound what it
-  // must have seen.
-  gpu::Executor ex(2);
-  std::atomic<int> done{0};
-  int seen_b = -1, seen_c = -1, seen_d = -1;
-  compute::Plan plan("diamond");
-  const auto a = plan.add([&] { done.fetch_add(1); });
-  const auto b = plan.add([&] { seen_b = done.fetch_add(1); }, {a});
-  const auto c = plan.add([&] { seen_c = done.fetch_add(1); }, {a});
-  plan.add([&] { seen_d = done.fetch_add(1); }, {b, c});
-
-  ExecutorGuard guard(&ex);
-  compute::run(plan);
-
-  EXPECT_EQ(done.load(), 4);
-  EXPECT_GE(seen_b, 1);  // a finished first
-  EXPECT_GE(seen_c, 1);
-  EXPECT_EQ(seen_d, 3);  // all three predecessors done
-}
-
-TEST(Plan, MinGrainRunsSeriallyOnCaller) {
-  gpu::Executor ex(2);
-  const auto caller = std::this_thread::get_id();
-  std::vector<std::thread::id> ran(4);
-  std::vector<std::size_t> order;
-  compute::Plan plan("serial");
-  for (std::size_t i = 0; i < 4; ++i)
-    plan.add([&ran, &order, i] {
-      ran[i] = std::this_thread::get_id();
-      order.push_back(i);
-    });
-
-  ExecutorGuard guard(&ex);
-  compute::RunOptions opts;
-  opts.min_grain = 16;  // 4 nodes < 2 * 16 -> serial fallback
-  compute::run(plan, opts);
-
-  for (const auto& id : ran) EXPECT_EQ(id, caller);
-  ASSERT_EQ(order.size(), 4u);
-  for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(order[i], i);  // index order
-}
-
-TEST(Plan, FirstExceptionAbortsDependentsAndRethrows) {
-  gpu::Executor ex(2);
-  std::atomic<bool> dependent_ran{false};
-  compute::Plan plan("boom");
-  const auto bad =
-      plan.add([] { throw std::runtime_error("tile exploded"); });
-  plan.add([&] { dependent_ran = true; }, {bad});
-
-  ExecutorGuard guard(&ex);
-  EXPECT_THROW(compute::run(plan), std::runtime_error);
-  // The dependent reached a terminal state without running its body.
-  EXPECT_FALSE(dependent_ran.load());
-}
-
-TEST(Plan, SerialFallbackAlsoRethrows) {
-  gpu::Executor ex(1);
-  std::atomic<bool> later_ran{false};
-  compute::Plan plan("boom-serial");
-  plan.add([] { throw std::out_of_range("first"); });
-  plan.add([&] { later_ran = true; });
-  ExecutorGuard guard(&ex);
-  EXPECT_THROW(compute::run(plan), std::out_of_range);
-  EXPECT_FALSE(later_ran.load());
-}
-
-TEST(Plan, NestedRunInsidePoolWorkerCompletes) {
-  // A plan node that itself runs a plan on the same pool — the shape
-  // core::Workflow stages produce when a stage calls a blocked kernel.
-  // Caller participation means this cannot deadlock, even 1-worker.
-  for (const unsigned workers : {1u, 2u}) {
-    gpu::Executor ex(workers);
-    ExecutorGuard guard(&ex);
-    std::atomic<int> inner_done{0};
-    compute::Plan outer("outer");
-    for (int i = 0; i < 2; ++i)
-      outer.add([&] {
-        compute::Plan inner("inner");
-        for (int j = 0; j < 4; ++j) inner.add([&] { inner_done.fetch_add(1); });
-        compute::run(inner);
-      });
-    compute::run(outer);
-    EXPECT_EQ(inner_done.load(), 8) << "workers=" << workers;
-  }
-}
+// --- scratch ---------------------------------------------------------------------
 
 TEST(Plan, ScratchDrawsFromPool) {
   compute::Scratch empty(0);
@@ -187,6 +82,70 @@ TEST(ParallelFor, GrainStillVisitsEveryIndexOnce) {
   }
 }
 
+TEST(ParallelFor, GrainCollapsedLoopStopsAtFirstThrow) {
+  // Below kSerialFlopFloor a GEMM's loops run grain-collapsed on the caller
+  // (and a 1-worker pool runs every loop there): the first throw must reach
+  // the caller with no later index run.
+  for (const unsigned workers : {1u, 2u}) {
+    gpu::Executor ex(workers);
+    const auto caller = std::this_thread::get_id();
+    std::vector<std::uint64_t> ran;
+    EXPECT_THROW(ex.parallel_for(
+                     8,
+                     [&](std::uint64_t i) {
+                       EXPECT_EQ(std::this_thread::get_id(), caller);
+                       ran.push_back(i);
+                       if (i == 3) throw std::out_of_range("index 3");
+                     },
+                     /*grain=*/UINT64_MAX),
+                 std::out_of_range);
+    EXPECT_EQ(ran, (std::vector<std::uint64_t>{0, 1, 2, 3}))
+        << "workers=" << workers;
+  }
+}
+
+TEST(ParallelFor, GemmInsidePoolTaskCompletes) {
+  // GEMM runs inside core::Workflow stages, which are tasks on the same
+  // shared pool its fork/join uses.  With every worker busy in such a task,
+  // the callers' own claims must still finish each GEMM, and the result
+  // must equal the naive loop bitwise.
+  Rng rng(2024);
+  const std::size_t m = 200, k = 80, n = 70;  // above the serial floor
+  tensor::Tensor a(m, k), b(k, n), ref(m, n);
+  a.init_uniform(rng, -1, 1);
+  b.init_uniform(rng, -1, 1);
+  ops::detail::GemmSpec spec;
+  spec.a = a.data();
+  spec.b = b.data();
+  spec.c = ref.data();
+  spec.m = m;
+  spec.n = n;
+  spec.k = k;
+  spec.lda = k;
+  spec.ldb = n;
+  ops::detail::gemm_host_naive(spec);
+
+  for (const unsigned workers : {1u, 2u}) {
+    gpu::Executor ex(workers);
+    ExecutorGuard guard(&ex);
+    std::vector<tensor::Tensor> outs(workers, tensor::Tensor(m, n));
+    std::vector<sagesim::runtime::Future<bool>> tasks;
+    for (unsigned w = 0; w < workers; ++w)
+      tasks.push_back(ex.scheduler().submit("gemm", [&, w] {
+        ops::detail::GemmSpec inner = spec;
+        inner.c = outs[w].data();
+        ops::detail::gemm_host_blocked(inner);
+        return ex.scheduler().current_worker() >= 0;
+      }));
+    for (unsigned w = 0; w < workers; ++w) {
+      EXPECT_TRUE(tasks[w].get()) << "workers=" << workers;
+      for (std::size_t i = 0; i < ref.size(); ++i)
+        ASSERT_EQ(ref[i], outs[w][i])
+            << "workers=" << workers << " task " << w << " at " << i;
+    }
+  }
+}
+
 // --- autotuner -------------------------------------------------------------------
 
 TEST(Autotuner, ConsultFallsBackToDefaultsAndCountsMisses) {
@@ -197,7 +156,7 @@ TEST(Autotuner, ConsultFallsBackToDefaultsAndCountsMisses) {
   EXPECT_TRUE(t.nr == 8u || t.nr == 16u);  // ISA-dependent default
   const auto s = tuner.spmm_tiling(1000, 5000, 64);
   EXPECT_EQ(s.row_block, 64u);
-  EXPECT_EQ(tuner.ddp_bucket_bytes(1 << 20, 4), 0u);  // untuned -> caller default
+  EXPECT_EQ(tuner.hnsw_ef(1000, 64, 10), 0u);  // untuned -> caller default
   const auto st = tuner.stats();
   EXPECT_EQ(st.hits, 0u);
   EXPECT_EQ(st.misses, 3u);
@@ -222,7 +181,8 @@ TEST(Autotuner, CacheRoundTripsThroughDisk) {
   const compute::SpmmTiling st{128, 32};
   a.record_gemm(100, 200, 300, gt);
   a.record_spmm(5000, 40000, 64, st);
-  a.record_ddp(1 << 22, 4, 2 << 20);
+  a.tune_hnsw(2000, 256, 10,
+              [](std::size_t ef) { return ef == 64 ? 1.0 : 2.0; });
   ASSERT_TRUE(a.save(path));
 
   compute::Autotuner b;
@@ -231,7 +191,7 @@ TEST(Autotuner, CacheRoundTripsThroughDisk) {
   EXPECT_EQ(b.entry_count(), 3u);
   EXPECT_EQ(b.gemm_tiling(100, 200, 300), gt);
   EXPECT_EQ(b.spmm_tiling(5000, 40000, 64), st);
-  EXPECT_EQ(b.ddp_bucket_bytes(1 << 22, 4), std::size_t{2} << 20);
+  EXPECT_EQ(b.hnsw_ef(2000, 256, 10), 64u);
   std::remove(path.c_str());
 }
 
@@ -258,6 +218,8 @@ TEST(Autotuner, CorruptCacheWarnsAndFallsBackToDefaults) {
       {"tune_garbage.txt", "complete nonsense\nnot a cache\n"},
       {"tune_badver.txt", "sagesim-tune-cache v999\n"},
       {"tune_badentry.txt", "sagesim-tune-cache v1\ngemm broken entry here\n"},
+      // DDP bucket entries are no longer a cache kind.
+      {"tune_ddp.txt", "sagesim-tune-cache v1\nddp 4194304 4 2097152\n"},
   };
   for (const auto& c : cases) {
     const std::string path = temp_path(c.leaf);
@@ -294,21 +256,24 @@ TEST(Autotuner, SpmmAndDdpCandidatesAreSane) {
     EXPECT_GE(s.row_block, 1u);
     EXPECT_GE(s.tile_width, 8u);
   }
-  const auto buckets = compute::Autotuner::ddp_bucket_candidates();
-  ASSERT_FALSE(buckets.empty());
-  for (const auto b : buckets) EXPECT_GE(b, std::size_t{1} << 20);
+  // tune_hnsw's tie-break toward the faster search needs smallest-ef first.
+  const auto efs = compute::Autotuner::hnsw_ef_candidates();
+  ASSERT_FALSE(efs.empty());
+  EXPECT_TRUE(std::is_sorted(efs.begin(), efs.end()));
 }
 
 TEST(Autotuner, DdpBucketResolutionPrefersTunedValue) {
-  // resolve_bucket_bytes: tuned > kDefaultBucketBytes (4 MiB).
-  auto& shared = compute::Autotuner::shared();
-  const std::size_t flat_bytes = 123456, ranks = 3;
-  shared.record_ddp(flat_bytes, ranks, std::size_t{8} << 20);
-  EXPECT_EQ(sagesim::ddp::resolve_bucket_bytes(flat_bytes, ranks),
-            std::size_t{8} << 20);
-  shared.clear();
-  EXPECT_EQ(sagesim::ddp::resolve_bucket_bytes(flat_bytes, ranks),
-            std::size_t{4} << 20);
+  // The bucket size is not an autotuner entry: a set size is kept, and 0
+  // means kDefaultBucketBytes (4 MiB).
+  gpu::DeviceManager dm(2, gpu::spec::test_tiny());
+  sagesim::nn::Param p0(4, 8), p1(4, 8);
+  const std::vector<std::vector<sagesim::nn::Param*>> replicas{{&p0}, {&p1}};
+  const sagesim::ddp::GradientSynchronizer set(
+      dm, replicas, sagesim::ddp::SyncOptions{.bucket_bytes = 256});
+  EXPECT_EQ(set.options().bucket_bytes, 256u);
+  const sagesim::ddp::GradientSynchronizer unset(dm, replicas,
+                                                 sagesim::ddp::SyncOptions{});
+  EXPECT_EQ(unset.options().bucket_bytes, std::size_t{4} << 20);
 }
 
 TEST(Autotuner, OversizedTilesStillComputeEveryOutput) {
