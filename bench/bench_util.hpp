@@ -1,14 +1,12 @@
 // Shared formatting helpers for the bench binaries.
 #pragma once
 
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "compute/autotuner.hpp"
 #include "compute/plan.hpp"
 
 namespace bench {
@@ -35,15 +33,12 @@ inline std::string bar(double value, double max_value, int width = 40) {
 
 /// Execution-environment snapshot recorded into every BENCH_*.json so a
 /// delta between two baselines is attributable: worker count vs physical
-/// cores (a 1-core host cannot scale, however many threads it runs), which
-/// micro-kernel family dispatched, and whether the tuning cache fed the
-/// tilings or the defaults did.
+/// cores (a 1-core host cannot scale, however many threads it runs) and
+/// which micro-kernel family dispatched.
 struct RunInfo {
   unsigned workers{0};       ///< effective pool size for the run
   unsigned cpus_online{0};   ///< hardware threads actually available
   const char* isa{""};       ///< "avx2" / "portable" dispatch choice
-  std::uint64_t tune_hits{0}, tune_misses{0};
-  bool tune_loaded{false};   ///< a SAGESIM_TUNE_CACHE file was read
 };
 
 inline RunInfo run_info(unsigned workers) {
@@ -51,10 +46,6 @@ inline RunInfo run_info(unsigned workers) {
   info.workers = workers;
   info.cpus_online = std::thread::hardware_concurrency();
   info.isa = sagesim::compute::isa_name();
-  const auto st = sagesim::compute::Autotuner::shared().stats();
-  info.tune_hits = st.hits;
-  info.tune_misses = st.misses;
-  info.tune_loaded = st.loaded;
   return info;
 }
 
@@ -62,12 +53,8 @@ inline RunInfo run_info(unsigned workers) {
 inline void json_run_info(std::FILE* f, const RunInfo& info) {
   std::fprintf(f,
                "  \"run\": {\"workers\": %u, \"cpus_online\": %u, "
-               "\"isa\": \"%s\", \"tune_hits\": %llu, "
-               "\"tune_misses\": %llu, \"tune_cache_loaded\": %s}",
-               info.workers, info.cpus_online, info.isa,
-               static_cast<unsigned long long>(info.tune_hits),
-               static_cast<unsigned long long>(info.tune_misses),
-               info.tune_loaded ? "true" : "false");
+               "\"isa\": \"%s\"}",
+               info.workers, info.cpus_online, info.isa);
 }
 
 /// Parses a `--workers` list ("1,2,8") into pool sizes; malformed or empty

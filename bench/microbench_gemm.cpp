@@ -3,15 +3,14 @@
 // scaling sweep.  Reports GFLOP/s and speedups, and writes a JSON baseline
 // (BENCH_gemm.json) so the bench trajectory is recorded across PRs.
 //
-//   microbench_gemm [--smoke] [--json PATH] [--workers LIST] [--tune]
+//   microbench_gemm [--smoke] [--json PATH] [--workers LIST]
 //
 // --smoke shrinks sizes/reps so the perf.* ctest entry stays fast.
 // --workers takes a comma list of pool sizes for the scaling sweep
 // (default 1,2,8; smoke 1,2).  The headline "sizes" rows are always
 // measured on a pinned 1-worker pool so they stay comparable across
 // baselines regardless of SAGESIM_WORKERS; per-worker rows land in the
-// JSON "scaling" array.  --tune runs the autotuner search for each shape
-// first (persisting to SAGESIM_TUNE_CACHE when set).
+// JSON "scaling" array.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -59,12 +58,10 @@ struct ScaleRow {
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  bool tune = false;
   std::string json_path = "BENCH_gemm.json";
   const char* workers_arg = "";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--tune") == 0) tune = true;
     if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
       json_path = argv[++i];
     if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc)
@@ -95,33 +92,6 @@ int main(int argc, char** argv) {
   const int reps = smoke ? 2 : 3;
 
   stats::Rng rng(42);
-
-  if (tune) {
-    bench::section("autotuner search");
-    for (const Shape& sh : shapes) {
-      tensor::Tensor a(sh.m, sh.k), b(sh.k, sh.n), out(sh.m, sh.n);
-      a.init_uniform(rng, -1.0f, 1.0f);
-      b.init_uniform(rng, -1.0f, 1.0f);
-      ops::detail::GemmSpec spec;
-      spec.a = a.data();
-      spec.b = b.data();
-      spec.c = out.data();
-      spec.m = sh.m;
-      spec.n = sh.n;
-      spec.k = sh.k;
-      spec.lda = sh.k;
-      spec.ldb = sh.n;
-      const auto best = compute::Autotuner::shared().tune_gemm(
-          sh.m, sh.n, sh.k, [&](const compute::GemmTiling& t) {
-            return min_seconds(reps, [&] {
-              ops::detail::gemm_host_blocked_tiled(spec, t);
-            });
-          });
-      std::printf("%4zux%zux%zu -> mr=%zu nr=%zu mc=%zu nc=%zu kc=%zu\n",
-                  sh.m, sh.n, sh.k, best.mr, best.nr, best.mc, best.nc,
-                  best.kc);
-    }
-  }
 
   // Headline rows on a pinned 1-worker pool: the single-thread kernel
   // quality signal, stable across hosts and SAGESIM_WORKERS settings.

@@ -3,12 +3,11 @@
 // for gather locality), plus a worker-count scaling sweep.  Writes a JSON
 // baseline (BENCH_spmm.json).
 //
-//   microbench_spmm [--smoke] [--json PATH] [--workers LIST] [--tune]
+//   microbench_spmm [--smoke] [--json PATH] [--workers LIST]
 //
 // The headline "dims" rows are measured on a pinned 1-worker pool so they
 // stay comparable across baselines; per-worker rows land in the JSON
-// "scaling" array.  --tune runs the autotuner search for the graph/width
-// shapes first (persisting to SAGESIM_TUNE_CACHE when set).
+// "scaling" array.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -42,12 +41,10 @@ double min_seconds(int reps, const std::function<void()>& fn) {
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  bool tune = false;
   std::string json_path = "BENCH_spmm.json";
   const char* workers_arg = "";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--tune") == 0) tune = true;
     if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
       json_path = argv[++i];
     if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc)
@@ -76,22 +73,6 @@ int main(int argc, char** argv) {
   const int reps = smoke ? 2 : 3;
 
   stats::Rng rng(42);
-
-  if (tune) {
-    bench::section("autotuner search");
-    for (const std::size_t d : dims) {
-      tensor::Tensor x(adj.num_nodes(), d), y(adj.num_nodes(), d);
-      x.init_uniform(rng, -1.0f, 1.0f);
-      const auto best = compute::Autotuner::shared().tune_spmm(
-          adj.num_nodes(), adj.nnz(), d, [&](const compute::SpmmTiling& t) {
-            return min_seconds(reps, [&] {
-              graph::detail::spmm_host_blocked_tiled(adj, x, y, t);
-            });
-          });
-      std::printf("d=%zu -> row_block=%zu tile_width=%zu\n", d,
-                  best.row_block, best.tile_width);
-    }
-  }
 
   struct Row {
     std::size_t d;

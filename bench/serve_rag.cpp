@@ -7,7 +7,7 @@
 //
 // Three sections:
 //  * HNSW conformance: recall@10 of rag::HnswIndex vs BruteForceIndex on
-//    the bench corpus, plus the autotuned ef_search the server would use;
+//    the bench corpus, plus the smallest ef_search meeting recall 0.95;
 //  * closed-loop: 4 synchronous clients hammering the server — throughput
 //    and latency percentiles under Zipfian traffic (hot queries repeat, so
 //    the result cache earns its keep);
@@ -263,7 +263,7 @@ int main(int argc, char** argv) {
         rag::recall_at_k(truth, hnsw.search(nullptr, queries, 10).value());
     tuned_ef = rag::tune_hnsw_ef(hnsw, nullptr, queries, 10, truth, 0.95);
     std::printf("%zu vectors, dim %zu: recall@10 %.3f (default ef %zu), "
-                "autotuned ef_search %zu\n",
+                "smallest ef_search at recall 0.95: %zu\n",
                 hnsw.size(), hnsw.dim(), hnsw_recall,
                 rag::HnswParams{}.ef_search, tuned_ef);
   }

@@ -39,11 +39,11 @@ echo "one pricing path"
 
 step "static: configuration is code"
 # Settings are API fields, not environment variables: only the worker pool
-# size, the tuning-cache path, the warp-fidelity lab mode and the fault lab
-# read the environment.  And no build flag may trade the bit-identity
-# contract (ascending-k mul-add chains) for speed.
+# size, the warp-fidelity lab mode and the fault lab read the environment.
+# And no build flag may trade the bit-identity contract (ascending-k mul-add
+# chains) for speed.
 if grep -rln getenv src |
-    grep -vxE 'src/(runtime/(scheduler|fault)|compute/autotuner|gpusim/warp)\.cpp'; then
+    grep -vxE 'src/(runtime/(scheduler|fault)|gpusim/warp)\.cpp'; then
   echo "error: new environment reader in src/ (add an API field instead)"
   exit 1
 fi
@@ -63,6 +63,16 @@ if grep -rnE 'submit_any|scheduler\(\)|condition_variable' \
   exit 1
 fi
 echo "one fork/join loop"
+
+step "static: no tuner"
+# Tile sizes are the kernels' constants and the HNSW beam is a parameter.
+# compute/autotuner.hpp survives only for perfbench's two zero counters, so
+# nothing else may include it, and no tune cache may come back.
+if grep -rnE '#include "compute/autotuner\.hpp"|SAGESIM_TUNE_CACHE' src bench examples tests; then
+  echo "error: tuner include or tune-cache variable (tile sizes are constants)"
+  exit 1
+fi
+echo "no tuner"
 
 step "static: no test-only modules"
 # Every header under src/ must be included by library code other than its

@@ -1,8 +1,8 @@
 // What the host compute kernels share: the executor they fork/join on, the
 // runtime ISA their micro-kernels dispatch on, and pooled packing scratch.
 //
-// Execution model (see DESIGN.md "Host kernels & autotuning"): every host
-// kernel (tensor/gemm_host, graph/spmm) partitions its output and runs
+// Execution model (see DESIGN.md "Host kernels"): every host kernel
+// (tensor/gemm_host, graph/spmm) partitions its output and runs
 // gpu::Executor::parallel_for over that partition on compute::executor().
 // parallel_for is the one fork/join loop: the calling thread claims chunks
 // alongside the helper tasks, so a kernel launched from inside a worker of

@@ -49,9 +49,11 @@ void spmm_host_reference(const NormalizedAdjacency& a, const tensor::Tensor& x,
 
 namespace {
 
-// Minimum rows per parallel chunk: below this the per-task overhead rivals
-// the row work, so small graphs run on the calling thread (the min-grain
-// knob, fed to parallel_for as grain = kMinRowsPerChunk / row_block).
+// Rows per parallel block, and the minimum rows per parallel chunk: below
+// that the per-task overhead rivals the row work, so small graphs run on
+// the calling thread (fed to parallel_for as grain = kMinRowsPerChunk /
+// kRowBlock).
+constexpr std::size_t kRowBlock = 64;
 constexpr std::size_t kMinRowsPerChunk = 2048;
 // Floats per register-accumulated feature tile on the portable path.
 // 16 floats fill four 128-bit vector registers at the baseline ISA — the
@@ -144,26 +146,21 @@ __attribute__((target("avx2"))) void row_avx2(
   for (int g = 0; g < NG; ++g) _mm256_storeu_ps(out + 8 * g, acc[g]);
 }
 
-/// @p tile_width caps the widest ymm tile (the autotuned knob): 64 runs the
-/// 8-group kernel where it fits, 32 and 16 stop the cascade earlier —
-/// narrower tiles re-walk the edge list more often but keep more of the
-/// gathered X rows L1-resident per pass.
+/// Widest tiles first: 64-float tiles where they fit, then 32, 16 and 8,
+/// then a scalar tail.
 __attribute__((target("avx2"))) void row_block_avx2(
     const float* px, const float* vals, const NodeId* cols,
     const std::size_t* offs, std::size_t r0, std::size_t r1, std::size_t d,
-    std::size_t tile_width, float* py) {
+    float* py) {
   for (std::size_t r = r0; r < r1; ++r) {
     const std::size_t e0 = offs[r], e1 = offs[r + 1];
     std::size_t c0 = 0;
-    if (tile_width >= 64)
-      for (; c0 + 64 <= d; c0 += 64)
-        row_avx2<8>(px, vals, cols, e0, e1, d, c0, py + r * d + c0);
-    if (tile_width >= 32)
-      for (; c0 + 32 <= d; c0 += 32)
-        row_avx2<4>(px, vals, cols, e0, e1, d, c0, py + r * d + c0);
-    if (tile_width >= 16)
-      for (; c0 + 16 <= d; c0 += 16)
-        row_avx2<2>(px, vals, cols, e0, e1, d, c0, py + r * d + c0);
+    for (; c0 + 64 <= d; c0 += 64)
+      row_avx2<8>(px, vals, cols, e0, e1, d, c0, py + r * d + c0);
+    for (; c0 + 32 <= d; c0 += 32)
+      row_avx2<4>(px, vals, cols, e0, e1, d, c0, py + r * d + c0);
+    for (; c0 + 16 <= d; c0 += 16)
+      row_avx2<2>(px, vals, cols, e0, e1, d, c0, py + r * d + c0);
     for (; c0 + 8 <= d; c0 += 8)
       row_avx2<1>(px, vals, cols, e0, e1, d, c0, py + r * d + c0);
     if (c0 < d)
@@ -172,18 +169,25 @@ __attribute__((target("avx2"))) void row_block_avx2(
 }
 #endif  // SAGESIM_SPMM_AVX2
 
+using RowBlockFn = void (*)(const float*, const float*, const NodeId*,
+                            const std::size_t*, std::size_t, std::size_t,
+                            std::size_t, float*);
+
+/// The ymm cascade on AVX2, the portable tiles elsewhere — including when
+/// @p isa asks for AVX2 on a host without it.
+RowBlockFn row_block_for(compute::Isa isa) {
+  if (isa == compute::Isa::kAvx2 && compute::isa() == compute::Isa::kAvx2) {
+#if defined(SAGESIM_SPMM_AVX2)
+    return row_block_avx2;
+#endif
+  }
+  return row_block_portable;
+}
+
 }  // namespace
 
 void spmm_host_blocked(const NormalizedAdjacency& a, const tensor::Tensor& x,
-                       tensor::Tensor& y) {
-  spmm_host_blocked_tiled(a, x, y,
-                          compute::Autotuner::shared().spmm_tiling(
-                              a.num_nodes(), a.nnz(), x.cols()));
-}
-
-void spmm_host_blocked_tiled(const NormalizedAdjacency& a,
-                             const tensor::Tensor& x, tensor::Tensor& y,
-                             compute::SpmmTiling tiling) {
+                       tensor::Tensor& y, compute::Isa isa) {
   check_shapes(a, x, y);
   const std::size_t n = a.num_nodes();
   const std::size_t d = x.cols();
@@ -192,39 +196,25 @@ void spmm_host_blocked_tiled(const NormalizedAdjacency& a,
   const auto* offs = a.offsets.data();
   const auto* cols = a.columns.data();
   const auto* vals = a.values.data();
-  // Capped at n: a row block near SIZE_MAX (say, from a hostile tuning
-  // cache) would otherwise wrap the block count to 0 and skip every row.
-  const std::size_t row_block =
-      std::max<std::size_t>(1, std::min(tiling.row_block, n));
-  const std::size_t tile_width = std::max<std::size_t>(8, tiling.tile_width);
+  const RowBlockFn row_block = row_block_for(isa);
 
   // A flat row-block decomposition run as one parallel_for with a grain.
   // Each output row belongs to exactly one block and keeps its
-  // ascending-edge fold, so worker count and tiling never perturb result
-  // bits.
+  // ascending-edge fold, so the worker count never perturbs result bits.
   auto block_op = [=](std::size_t blk) {
-    const std::size_t r0 = blk * row_block;
-    const std::size_t r1 = std::min(r0 + row_block, n);
-#if defined(SAGESIM_SPMM_AVX2)
-    if (compute::isa() == compute::Isa::kAvx2) {
-      row_block_avx2(px, vals, cols, offs, r0, r1, d, tile_width, py);
-      return;
-    }
-#endif
-    (void)tile_width;  // portable tile is fixed at kFeatTile
-    row_block_portable(px, vals, cols, offs, r0, r1, d, py);
+    const std::size_t r0 = blk * kRowBlock;
+    const std::size_t r1 = std::min(r0 + kRowBlock, n);
+    row_block(px, vals, cols, offs, r0, r1, d, py);
   };
 
-  const std::size_t blocks = (n + row_block - 1) / row_block;
+  const std::size_t blocks = (n + kRowBlock - 1) / kRowBlock;
   if (blocks <= 1) {
     for (std::size_t b = 0; b < blocks; ++b) block_op(b);
     return;
   }
-  const std::uint64_t grain =
-      std::max<std::uint64_t>(1, kMinRowsPerChunk / row_block);
   compute::executor().parallel_for(
       blocks, [&](std::uint64_t b) { block_op(static_cast<std::size_t>(b)); },
-      grain);
+      kMinRowsPerChunk / kRowBlock);
 }
 
 }  // namespace detail

@@ -2,7 +2,7 @@
 // heart of GCN layers: Y = Â X.
 #pragma once
 
-#include "compute/autotuner.hpp"
+#include "compute/plan.hpp"
 #include "gpusim/device.hpp"
 #include "graph/csr.hpp"
 #include "tensor/tensor.hpp"
@@ -27,23 +27,17 @@ namespace detail {
 void spmm_host_reference(const NormalizedAdjacency& a, const tensor::Tensor& x,
                          tensor::Tensor& y);
 
-/// Cache-blocked parallel kernel: the row range is decomposed into row
-/// blocks (sized by the autotuned SpmmTiling), run as one parallel_for on
-/// compute::executor() with a grain floor, and the feature
-/// dimension is tiled (width capped by the tiling) so the gathered slices
-/// of X stay L1/L2-resident while a block's rows (which share neighbors
-/// under any community structure) reuse them.  Per output element the edge
+/// Cache-blocked parallel kernel: the row range is decomposed into 64-row
+/// blocks, run as one parallel_for on compute::executor() with a grain
+/// floor, and the feature dimension is tiled (64/32/16/8-float ymm tiles on
+/// AVX2, 16-float tiles on the portable path) so the gathered slices of X
+/// stay L1/L2-resident while a block's rows (which share neighbors under
+/// any community structure) reuse them.  Per output element the edge
 /// accumulation order is unchanged, so the result is bit-identical to the
-/// reference at any worker count.  Consults compute::Autotuner for the
-/// (nodes, nnz, d) shape key.
+/// reference at any worker count and on either ISA.  @p isa picks the row
+/// kernel; kAvx2 on a host without AVX2 runs the portable one.
 void spmm_host_blocked(const NormalizedAdjacency& a, const tensor::Tensor& x,
-                       tensor::Tensor& y);
-
-/// Same kernel with an explicit tiling — the entry point the autotuner's
-/// search and the worker-sweep tests drive.
-void spmm_host_blocked_tiled(const NormalizedAdjacency& a,
-                             const tensor::Tensor& x, tensor::Tensor& y,
-                             compute::SpmmTiling tiling);
+                       tensor::Tensor& y, compute::Isa isa = compute::isa());
 
 }  // namespace detail
 }  // namespace sagesim::graph

@@ -13,8 +13,8 @@ namespace sagesim::nn {
 /// a separate ReLU layer, minus the extra passes.
 ///
 /// On the host path (dev == nullptr) the GEMMs run on the compute executor
-/// with autotuned tilings (see compute/plan.hpp); results stay bit-exact
-/// at any worker count, so layers never need to care about SAGESIM_WORKERS.
+/// (see compute/plan.hpp); results stay bit-exact at any worker count, so
+/// layers never need to care about SAGESIM_WORKERS.
 class Dense : public Layer {
  public:
   Dense(std::size_t in_features, std::size_t out_features, stats::Rng& rng,

@@ -16,8 +16,8 @@ namespace sagesim::nn {
 /// node order of the inputs.  With Activation::kRelu the activation is
 /// fused into the GEMM's output pass (gemm_bias_relu): the forward makes
 /// one sweep over H instead of three kernel launches.  Host-path SpMM and
-/// GEMM run on the compute executor with autotuned tilings
-/// (compute/plan.hpp) and are bit-identical at any worker count.
+/// GEMM run on the compute executor (compute/plan.hpp) and are
+/// bit-identical at any worker count.
 class GcnConv : public Layer {
  public:
   GcnConv(const graph::NormalizedAdjacency* adj, std::size_t in_features,

@@ -1,13 +1,9 @@
 #include "rag/hnsw.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <limits>
 #include <queue>
 #include <stdexcept>
-
-#include "compute/autotuner.hpp"
 
 namespace sagesim::rag {
 
@@ -198,16 +194,10 @@ void HnswIndex::insert(const float* v, std::uint32_t id) {
   }
 }
 
-std::size_t HnswIndex::effective_ef(std::size_t k) const {
-  std::size_t ef = compute::Autotuner::shared().hnsw_ef(count_, dim_, k);
-  if (ef == 0) ef = params_.ef_search;
-  return std::max(ef, k);
-}
-
 Expected<SearchResults> HnswIndex::search(gpu::Device* dev,
                                           const tensor::Tensor& queries,
                                           std::size_t k) const {
-  return search_with_ef(dev, queries, k, effective_ef(k));
+  return search_with_ef(dev, queries, k, params_.ef_search);
 }
 
 Expected<SearchResults> HnswIndex::search_with_ef(gpu::Device* dev,
@@ -242,19 +232,13 @@ Expected<SearchResults> HnswIndex::search_with_ef(gpu::Device* dev,
 std::size_t tune_hnsw_ef(const HnswIndex& index, gpu::Device* dev,
                          const tensor::Tensor& queries, std::size_t k,
                          const SearchResults& truth, double recall_target) {
-  return compute::Autotuner::shared().tune_hnsw(
-      index.size(), index.dim(), k, [&](std::size_t ef) {
-        const auto start = std::chrono::steady_clock::now();
-        const auto got = index.search_with_ef(dev, queries, k, ef);
-        const double elapsed =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          start)
-                .count();
-        if (!got.has_value()) return std::numeric_limits<double>::infinity();
-        if (recall_at_k(truth, *got) < recall_target)
-          return std::numeric_limits<double>::infinity();
-        return elapsed;
-      });
+  constexpr std::size_t kCandidates[] = {16, 32, 64, 128, 256};
+  for (const std::size_t ef : kCandidates) {
+    const auto got = index.search_with_ef(dev, queries, k, ef);
+    if (got.has_value() && recall_at_k(truth, *got) >= recall_target)
+      return ef;
+  }
+  return 0;
 }
 
 }  // namespace sagesim::rag

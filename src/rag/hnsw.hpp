@@ -11,10 +11,9 @@
 // width ef_search over layer 0.  Similarity is inner product over the
 // L2-normalized embeddings, matching the exact indexes.
 //
-// ef_search resolves through compute::Autotuner ("hnsw" entries keyed by
-// (count, dim, k)) when tuned — tune_hnsw_ef() searches the candidate grid
-// for the cheapest beam meeting a recall target — and falls back to
-// HnswParams::ef_search otherwise.
+// The query beam is HnswParams::ef_search.  tune_hnsw_ef() finds the
+// cheapest beam that meets a recall target; the caller applies it with
+// set_ef_search().
 #pragma once
 
 #include <cstdint>
@@ -27,7 +26,7 @@ namespace sagesim::rag {
 struct HnswParams {
   std::size_t M{16};                ///< out-degree above layer 0 (2M at 0)
   std::size_t ef_construction{200};  ///< insert-time beam width
-  std::size_t ef_search{64};  ///< query-time beam fallback when untuned
+  std::size_t ef_search{64};  ///< query-time beam width
   std::uint64_t seed{42};     ///< level-assignment stream
   std::size_t shard_capacity{4096};  ///< vectors per storage shard
 };
@@ -50,13 +49,8 @@ class HnswIndex final : public VectorIndex {
   void set_ef_search(std::size_t ef);
   int max_level() const { return max_level_; }
 
-  /// The beam width a search with this @p k would run: the autotuned value
-  /// for (size, dim, k) when present, else params().ef_search — always at
-  /// least k.
-  std::size_t effective_ef(std::size_t k) const;
-
-  /// search() with an explicit beam width, bypassing the autotuner — the
-  /// probe path tune_hnsw_ef() times.  @p ef is raised to k internally.
+  /// search() with an explicit beam width instead of params().ef_search —
+  /// the probe path tune_hnsw_ef() runs.  @p ef is raised to k internally.
   Expected<SearchResults> search_with_ef(gpu::Device* dev,
                                          const tensor::Tensor& queries,
                                          std::size_t k, std::size_t ef) const;
@@ -91,12 +85,10 @@ class HnswIndex final : public VectorIndex {
   int max_level_{-1};  ///< -1 while empty
 };
 
-/// Autotunes ef_search for @p index's (size, dim, k) shape: times every
-/// Autotuner::hnsw_ef_candidates() beam over @p queries and records the
-/// fastest whose recall@k against the exact @p truth meets
-/// @p recall_target (candidates below target cost +inf, so the cheapest
-/// acceptable beam wins).  Returns the recorded ef, or 0 when no candidate
-/// met the target (nothing recorded; the index keeps its fallback).
+/// The smallest beam in {16, 32, 64, 128, 256} whose recall@k over
+/// @p queries against the exact @p truth meets @p recall_target — a
+/// smaller beam is always the cheaper search.  Returns 0 when none does.
+/// Records nothing: apply the result with HnswIndex::set_ef_search().
 std::size_t tune_hnsw_ef(const HnswIndex& index, gpu::Device* dev,
                          const tensor::Tensor& queries, std::size_t k,
                          const SearchResults& truth, double recall_target);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <vector>
 
 #if defined(__GNUC__) && defined(__x86_64__)
 #define SAGESIM_GEMM_AVX2 1
@@ -77,13 +76,16 @@ inline void write_cell(const GemmSpec& s, std::size_t i, std::size_t j,
 
 // --- micro-kernels ---------------------------------------------------------
 //
-// Every micro-kernel continues a partial reduction: @p acc holds the tile's
-// running sums (MR rows x NR columns, row-major), the kernel folds k more
-// ascending-k terms into it, and stores it back.  The round trip through a
-// float array is exact, which is what makes KC slabbing bit-identical to
-// one unbroken k loop.  The kernel shape is constrained by the register
-// file: the accumulator tile plus one B panel row and the broadcast A value
-// must fit, or the accumulators spill and performance falls off a cliff.
+// Every micro-kernel folds k ascending-k terms into @p acc, the tile's
+// running sums (MR rows x NR columns, row-major, zeroed by the caller).
+// The kernel shape is constrained by the register file: the accumulator
+// tile plus one B panel row and the broadcast A value must fit, or the
+// accumulators spill and performance falls off a cliff.
+
+// Rows per register micro-tile, and rows per packed A panel (the parallel
+// grain along M; a whole number of micro-tiles).  op(B) is packed whole.
+constexpr std::size_t kMR = 4;
+constexpr std::size_t kMC = 64;
 
 using MicroFn = void (*)(const float* __restrict, const float* __restrict,
                          std::size_t, float* __restrict);
@@ -136,57 +138,32 @@ __attribute__((target("avx2"))) void micro_avx2(const float* __restrict ap,
 
 #endif  // SAGESIM_GEMM_AVX2
 
-/// The runtime tiling actually executed: sanitized fields + the selected
-/// micro-kernel.
-struct Tiling {
-  std::size_t mr, nr, mc, nc, kc;  ///< nc/kc of 0 mean full extent
+/// The micro-kernel a launch runs and its panel width NR.
+struct Micro {
+  std::size_t nr;
   MicroFn fn;
 };
 
-/// Clamps a requested tiling to the supported micro-kernel set for the
-/// runtime ISA, rounds the macro tiles to whole micro-panels, and caps them
-/// at the matrix.  Any GemmTiling therefore executes *something* valid — a
-/// stale or hostile tuning-cache entry can cost speed, never correctness
-/// (an uncapped mc near SIZE_MAX would wrap the panel count to 0).
-Tiling sanitize(const compute::GemmTiling& req, const GemmSpec& s) {
-  Tiling t{};
+/// 4x16 in ymm registers on AVX2, 4x8 portable elsewhere — including when
+/// @p isa asks for AVX2 on a host without it.
+Micro micro_for(compute::Isa isa) {
+  if (isa == compute::Isa::kAvx2 && compute::isa() == compute::Isa::kAvx2) {
 #if defined(SAGESIM_GEMM_AVX2)
-  if (compute::isa() == compute::Isa::kAvx2) {
-    t.nr = req.nr == 8 ? 8 : 16;
-    if (t.nr == 16)
-      t.mr = req.mr == 6 ? 6 : 4;
-    else
-      t.mr = req.mr == 8 ? 8 : 4;
-    if (t.nr == 16 && t.mr == 4) t.fn = micro_avx2<4, 2>;
-    if (t.nr == 16 && t.mr == 6) t.fn = micro_avx2<6, 2>;
-    if (t.nr == 8 && t.mr == 4) t.fn = micro_avx2<4, 1>;
-    if (t.nr == 8 && t.mr == 8) t.fn = micro_portable<8, 8>;
-  }
+    return {16, micro_avx2<kMR, 2>};
 #endif
-  if (t.fn == nullptr) {  // portable floor
-    t.nr = 8;
-    t.mr = req.mr == 8 ? 8 : 4;
-    t.fn = t.mr == 8 ? micro_portable<8, 8> : micro_portable<4, 8>;
   }
-  const std::size_t m_rounded = (s.m + t.mr - 1) / t.mr * t.mr;
-  t.mc = std::min(std::max(t.mr, req.mc - req.mc % t.mr), m_rounded);
-  t.nc = req.nc == 0 || req.nc >= s.n
-             ? 0
-             : std::max(t.nr, req.nc - req.nc % t.nr);
-  t.kc = req.kc == 0 || req.kc >= s.k ? 0 : std::max<std::size_t>(8, req.kc);
-  return t;
+  return {8, micro_portable<kMR, 8>};
 }
 
 // --- packing ---------------------------------------------------------------
 
-/// Packs columns [j0, j0 + jcols) of op(B) into NR-wide, p-major panels
-/// with zero padding past the edge.  After packing, the micro-kernel reads
-/// B with unit stride whether or not tb was set.
-void pack_b_block(const GemmSpec& s, std::size_t j0, std::size_t jcols,
-                  std::size_t nr, float* dst) {
-  for (std::size_t jp = 0; jp * nr < jcols; ++jp) {
-    const std::size_t jb = j0 + jp * nr;
-    const std::size_t jw = std::min(nr, j0 + jcols - jb);
+/// Packs op(B) into NR-wide, p-major panels with zero padding past n.
+/// After packing, the micro-kernel reads B with unit stride whether or not
+/// tb was set.
+void pack_b(const GemmSpec& s, std::size_t nr, float* dst) {
+  for (std::size_t jp = 0; jp * nr < s.n; ++jp) {
+    const std::size_t jb = jp * nr;
+    const std::size_t jw = std::min(nr, s.n - jb);
     for (std::size_t p = 0; p < s.k; ++p, dst += nr) {
       for (std::size_t jj = 0; jj < jw; ++jj) dst[jj] = b_at(s, p, jb + jj);
       for (std::size_t jj = jw; jj < nr; ++jj) dst[jj] = 0.0f;
@@ -197,51 +174,44 @@ void pack_b_block(const GemmSpec& s, std::size_t j0, std::size_t jcols,
 /// Packs rows [i0, i0 + mrows) of op(A) into MR-row micro-panels, p-major
 /// with zero padding past m.
 void pack_a_panel(const GemmSpec& s, std::size_t i0, std::size_t mrows,
-                  std::size_t mr, float* dst) {
-  for (std::size_t mi = 0; mi * mr < mrows; ++mi) {
-    const std::size_t ib = i0 + mi * mr;
-    const std::size_t iw = std::min(mr, mrows - mi * mr);
-    for (std::size_t p = 0; p < s.k; ++p, dst += mr) {
+                  float* dst) {
+  for (std::size_t mi = 0; mi * kMR < mrows; ++mi) {
+    const std::size_t ib = i0 + mi * kMR;
+    const std::size_t iw = std::min(kMR, mrows - mi * kMR);
+    for (std::size_t p = 0; p < s.k; ++p, dst += kMR) {
       for (std::size_t ii = 0; ii < iw; ++ii) dst[ii] = a_at(s, ib + ii, p);
-      for (std::size_t ii = iw; ii < mr; ++ii) dst[ii] = 0.0f;
+      for (std::size_t ii = iw; ii < kMR; ++ii) dst[ii] = 0.0f;
     }
   }
 }
 
 // --- tile execution --------------------------------------------------------
 
-/// Computes the MC x NC output tile [i0, i0+mrows) x [j0, j0+jcols) from
-/// packed panels.  Loop order: B panel outermost, then KC slabs, then the
-/// A micro-panels — each KC x NR slab of packed B stays L1-hot while it is
-/// swept across every micro-row.  The accumulator strip (one NR column of
-/// all micro-rows) lives in pooled scratch and round-trips through float
-/// between slabs, so the per-element reduction order is exactly the naive
-/// ascending-k chain.
-void run_tile(const GemmSpec& s, const Tiling& t, const float* apack,
-              std::size_t i0, std::size_t mrows, const float* bpack,
-              std::size_t j0, std::size_t jcols) {
-  const std::size_t micro_rows = (mrows + t.mr - 1) / t.mr;
-  const std::size_t npanels = (jcols + t.nr - 1) / t.nr;
-  const std::size_t kc = t.kc == 0 ? s.k : t.kc;
-  compute::Scratch acc_block(micro_rows * t.mr * t.nr * sizeof(float));
+/// Computes output rows [i0, i0 + mrows) from a packed A panel and all of
+/// packed B.  Loop order: B panel outermost, then the A micro-panels — each
+/// K x NR panel of packed B stays cache-hot while it is swept across every
+/// micro-row.  The accumulator strip (one NR column of all micro-rows)
+/// lives in pooled scratch, and each element is the naive ascending-k chain.
+void run_panel(const GemmSpec& s, const Micro& mk, const float* apack,
+               std::size_t i0, std::size_t mrows, const float* bpack) {
+  const std::size_t nr = mk.nr;
+  const std::size_t micro_rows = (mrows + kMR - 1) / kMR;
+  const std::size_t npanels = (s.n + nr - 1) / nr;
+  compute::Scratch acc_block(micro_rows * kMR * nr * sizeof(float));
   float* acc = acc_block.floats();
 
   for (std::size_t jp = 0; jp < npanels; ++jp) {
-    const float* bp = bpack + jp * s.k * t.nr;
-    std::fill(acc, acc + micro_rows * t.mr * t.nr, 0.0f);
-    for (std::size_t p0 = 0; p0 < s.k; p0 += kc) {
-      const std::size_t pw = std::min(kc, s.k - p0);
-      for (std::size_t mi = 0; mi < micro_rows; ++mi)
-        t.fn(apack + (mi * s.k + p0) * t.mr, bp + p0 * t.nr, pw,
-             acc + mi * t.mr * t.nr);
-    }
-    const std::size_t jb = j0 + jp * t.nr;
-    const std::size_t jw = std::min(t.nr, j0 + jcols - jb);
+    const float* bp = bpack + jp * s.k * nr;
+    std::fill(acc, acc + micro_rows * kMR * nr, 0.0f);
+    for (std::size_t mi = 0; mi < micro_rows; ++mi)
+      mk.fn(apack + mi * s.k * kMR, bp, s.k, acc + mi * kMR * nr);
+    const std::size_t jb = jp * nr;
+    const std::size_t jw = std::min(nr, s.n - jb);
     for (std::size_t mi = 0; mi < micro_rows; ++mi) {
-      const std::size_t iw = std::min(t.mr, mrows - mi * t.mr);
+      const std::size_t iw = std::min(kMR, mrows - mi * kMR);
       for (std::size_t ii = 0; ii < iw; ++ii)
-        write_row(s, i0 + mi * t.mr + ii, jb, jw,
-                  acc + mi * t.mr * t.nr + ii * t.nr);
+        write_row(s, i0 + mi * kMR + ii, jb, jw,
+                  acc + mi * kMR * nr + ii * nr);
     }
   }
 }
@@ -258,64 +228,35 @@ void gemm_host_naive(const GemmSpec& s) {
   }
 }
 
-void gemm_host_blocked(const GemmSpec& s) {
-  gemm_host_blocked_tiled(
-      s, compute::Autotuner::shared().gemm_tiling(s.m, s.n, s.k));
-}
-
-void gemm_host_blocked_tiled(const GemmSpec& s, compute::GemmTiling req) {
+void gemm_host_blocked(const GemmSpec& s, compute::Isa isa) {
   if (s.m == 0 || s.n == 0) return;
-  const Tiling t = sanitize(req, s);
+  const Micro mk = micro_for(isa);
+  const std::size_t mpanels = (s.m + kMC - 1) / kMC;
 
-  const std::size_t mpanels = (s.m + t.mc - 1) / t.mc;
-  const std::size_t nc = t.nc == 0 ? s.n : t.nc;
-  const std::size_t nblocks = (s.n + nc - 1) / nc;
-
-  // Shared packing scratch, pooled: one A panel per macro row, one B block
-  // per macro column.  Offsets are in floats.
-  std::vector<std::size_t> a_off(mpanels + 1, 0), b_off(nblocks + 1, 0);
-  for (std::size_t ib = 0; ib < mpanels; ++ib) {
-    const std::size_t mrows = std::min(t.mc, s.m - ib * t.mc);
-    const std::size_t micro_rows = (mrows + t.mr - 1) / t.mr;
-    a_off[ib + 1] = a_off[ib] + micro_rows * t.mr * s.k;
-  }
-  for (std::size_t jb = 0; jb < nblocks; ++jb) {
-    const std::size_t jcols = std::min(nc, s.n - jb * nc);
-    const std::size_t panels = (jcols + t.nr - 1) / t.nr;
-    b_off[jb + 1] = b_off[jb] + panels * t.nr * s.k;
-  }
-  compute::Scratch apack(a_off[mpanels] * sizeof(float));
-  compute::Scratch bpack(b_off[nblocks] * sizeof(float));
+  // Pooled packing scratch: op(B) whole, and one A panel per MC rows.  kMC
+  // is a whole number of micro-tiles, so panel ib starts at ib * kMC * k.
+  const std::size_t mrows_padded = (s.m + kMR - 1) / kMR * kMR;
+  const std::size_t ncols_padded = (s.n + mk.nr - 1) / mk.nr * mk.nr;
+  compute::Scratch apack(mrows_padded * s.k * sizeof(float));
+  compute::Scratch bpack(ncols_padded * s.k * sizeof(float));
   float* ap = apack.floats();
   float* bp = bpack.floats();
+  pack_b(s, mk.nr, bp);
 
-  // Two fork/joins: pack every B block, then one task per MC-row panel
-  // packs its A panel and sweeps it across every B block.  Partitioning is
-  // over M only — every output element belongs to exactly one panel task —
-  // so the worker count cannot perturb result bits.  Tiny shapes run both
-  // loops inline on the calling thread.
+  // One task per MC-row panel packs its A panel and sweeps it across every
+  // B panel.  Partitioning is over M only — every output element belongs
+  // to exactly one panel task — so the worker count cannot perturb result
+  // bits.  Tiny shapes run the loop inline on the calling thread.
   const std::uint64_t grain =
       s.m * s.n * s.k < kSerialFlopFloor ? UINT64_MAX : 1;
-  gpu::Executor& ex = compute::executor();
-  ex.parallel_for(
-      nblocks,
-      [&](std::uint64_t jb) {
-        const std::size_t j0 = jb * nc;
-        pack_b_block(s, j0, std::min(nc, s.n - j0), t.nr, bp + b_off[jb]);
-      },
-      grain);
-  ex.parallel_for(
+  compute::executor().parallel_for(
       mpanels,
       [&](std::uint64_t ib) {
-        const std::size_t i0 = ib * t.mc;
-        const std::size_t mrows = std::min(t.mc, s.m - i0);
-        float* a_src = ap + a_off[ib];
-        pack_a_panel(s, i0, mrows, t.mr, a_src);
-        for (std::size_t jb = 0; jb < nblocks; ++jb) {
-          const std::size_t j0 = jb * nc;
-          run_tile(s, t, a_src, i0, mrows, bp + b_off[jb], j0,
-                   std::min(nc, s.n - j0));
-        }
+        const std::size_t i0 = ib * kMC;
+        const std::size_t mrows = std::min(kMC, s.m - i0);
+        float* a_src = ap + i0 * s.k;
+        pack_a_panel(s, i0, mrows, a_src);
+        run_panel(s, mk, a_src, i0, mrows, bp);
       },
       grain);
 }

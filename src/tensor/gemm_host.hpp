@@ -2,25 +2,24 @@
 // tensor::ops::gemm and its fused-epilogue variants, plus the naive
 // reference loops it is benchmarked and regression-tested against.
 //
-// The blocked engine consults compute::Autotuner for a shape-keyed tiling
-// (MR/NR register micro-tile, MC/NC macro panels, KC reduction slabs) and
-// runs two gpu::Executor::parallel_for loops on compute::executor(): one
-// packs the NC-wide B blocks, then one task per MC-row panel packs its A
-// panel and computes that panel's tiles across every B block.
+// The blocked engine packs op(B) whole into NR-wide panels, then runs one
+// gpu::Executor::parallel_for on compute::executor() with one task per
+// 64-row panel: each task packs its A panel and computes that panel's
+// 4 x NR register tiles across every B panel.  NR is 16 on AVX2 and 8 on
+// the portable kernel.
 //
 // Both backends accumulate every output element as the same ascending-k
 // chain of float multiply-adds, so they are bit-identical by construction
-// at any worker count and under any tiling: packing changes the memory
-// layout and KC slabbing round-trips the partial sum through a float
-// (exact), never the reduction order.  That is what lets the training
-// stack swap kernels without perturbing the checkpoint bit-identity ladder
-// (see DESIGN.md "Host kernels & autotuning").  No kernel contracts a
-// multiply-add, so the guarantee has no exception.
+// at any worker count and on either ISA: packing changes the memory layout,
+// never the reduction order.  That is what lets the training stack swap
+// kernels without perturbing the checkpoint bit-identity ladder (see
+// DESIGN.md "Host kernels").  No kernel contracts a multiply-add, so the
+// guarantee has no exception.
 #pragma once
 
 #include <cstddef>
 
-#include "compute/autotuner.hpp"
+#include "compute/plan.hpp"
 
 namespace sagesim::tensor::ops {
 
@@ -56,16 +55,11 @@ struct GemmSpec {
 /// course's "sequential CPU baseline" and the conformance tests' oracle.
 void gemm_host_naive(const GemmSpec& spec);
 
-/// Packed + register-blocked + parallel engine with the autotuned (or
-/// default) tiling for the spec's shape.  Bit-identical to gemm_host_naive.
-void gemm_host_blocked(const GemmSpec& spec);
-
-/// Same engine with an explicit tiling — the entry point the autotuner's
-/// search and the worker-sweep tests drive.  Invalid tiling fields are
-/// sanitized to the nearest supported configuration (the micro-kernel set
-/// is ISA-constrained, and macro panels are capped at the matrix; see
-/// gemm_host.cpp).
-void gemm_host_blocked_tiled(const GemmSpec& spec, compute::GemmTiling tiling);
+/// Packed + register-blocked + parallel engine.  Bit-identical to
+/// gemm_host_naive.  @p isa picks the micro-kernel; kAvx2 on a host
+/// without AVX2 runs the portable one.
+void gemm_host_blocked(const GemmSpec& spec,
+                       compute::Isa isa = compute::isa());
 
 }  // namespace detail
 }  // namespace sagesim::tensor::ops

@@ -197,6 +197,18 @@ TEST(GradSync, NotifyValidatesRankAndParam) {
                std::invalid_argument);
 }
 
+TEST(GradSync, ZeroBucketBytesMeansDefault) {
+  // A set bucket size is kept, and 0 means kDefaultBucketBytes (4 MiB).
+  gpu::DeviceManager dm(2, gpu::spec::test_tiny());
+  nn::Param p0(4, 8), p1(4, 8);
+  const std::vector<std::vector<nn::Param*>> replicas{{&p0}, {&p1}};
+  const ddp::GradientSynchronizer set(
+      dm, replicas, ddp::SyncOptions{.bucket_bytes = 256});
+  EXPECT_EQ(set.options().bucket_bytes, 256u);
+  const ddp::GradientSynchronizer unset(dm, replicas, ddp::SyncOptions{});
+  EXPECT_EQ(unset.options().bucket_bytes, std::size_t{4} << 20);
+}
+
 TEST(GradSync, BroadcastDevicePlacedParamsUsesAccountedPeerCopies) {
   // Regression: broadcast_params used to memcpy device-placed replicas on
   // the host — no trace event, no simulated time on either device, and a

@@ -5,7 +5,6 @@
 
 #include <thread>
 
-#include "compute/autotuner.hpp"
 #include "gpusim/device_manager.hpp"
 #include "rag/cache.hpp"
 #include "rag/hnsw.hpp"
@@ -540,12 +539,13 @@ TEST_F(IndexFixture, HnswTunerRecordsEfMeetingRecall) {
   const std::size_t ef =
       rag::tune_hnsw_ef(hnsw, nullptr, queries, 10, truth, 0.95);
   ASSERT_GT(ef, 0u);
-  // The tuned ef is remembered for matching (count, dim, k) searches.
-  EXPECT_EQ(sagesim::compute::Autotuner::shared().hnsw_ef(hnsw.size(),
-                                                          hnsw.dim(), 10),
-            ef);
-  const auto tuned = hnsw.search_with_ef(nullptr, queries, 10, ef).value();
+  // The caller applies the beam; a plain search then meets the target.
+  hnsw.set_ef_search(ef);
+  const auto tuned = hnsw.search(nullptr, queries, 10).value();
   EXPECT_GE(rag::recall_at_k(truth, tuned), 0.95);
+  // No beam meets an unreachable target, and the index keeps its beam.
+  EXPECT_EQ(rag::tune_hnsw_ef(hnsw, nullptr, queries, 10, truth, 1.01), 0u);
+  EXPECT_EQ(hnsw.params().ef_search, ef);
 }
 
 // --- LRU cache -----------------------------------------------------------
