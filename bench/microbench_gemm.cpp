@@ -78,17 +78,19 @@ int main(int argc, char** argv) {
               pool_workers, std::thread::hardware_concurrency(),
               compute::isa_name());
 
-  // Square sizes stress the reduction; the last shape is a training-step
+  // Square sizes stress the reduction; 2048x256x64 is a training-step
   // Dense layer (tall activations, shallow k) where the fused epilogue's
-  // saved output passes are a visible fraction of the work.
+  // saved output passes are a visible fraction of the work.  The n = 16
+  // rows are one-panel GEMMs, which read A in place: 1577x16x500 is
+  // Algorithm 1's first layer (Â X) W0.
   struct Shape {
     std::size_t m, n, k;
   };
   const std::vector<Shape> shapes =
-      smoke ? std::vector<Shape>{{48, 48, 48}, {96, 96, 96}}
+      smoke ? std::vector<Shape>{{48, 48, 48}, {96, 96, 96}, {320, 16, 64}}
             : std::vector<Shape>{
                   {128, 128, 128}, {256, 256, 256}, {512, 512, 512},
-                  {2048, 256, 64}};
+                  {2048, 256, 64}, {1577, 16, 500}};
   const int reps = smoke ? 2 : 3;
 
   stats::Rng rng(42);

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "core/replica_set.hpp"
+#include "graph/spmm.hpp"
 #include "nn/loss.hpp"
 #include "nn/metrics.hpp"
 #include "prof/report.hpp"
@@ -28,6 +29,7 @@ struct Shard {
   graph::Subgraph sub;
   graph::NormalizedAdjacency adj;
   tensor::Tensor features;
+  tensor::Tensor agg;  ///< Â X, the first layer's constant aggregate
   std::vector<int> labels;
   std::vector<std::uint32_t> train_rows;
 };
@@ -145,7 +147,7 @@ Expected<DistributedGcnResult> try_train_distributed_gcn(
     const Shard& shard = shards[static_cast<std::size_t>(rs.rank)];
     rs.model.zero_grad();
     tensor::Tensor logits =
-        rs.model.forward(rs.device, shard.features, /*train=*/true);
+        rs.model.forward_aggregated(rs.device, shard.agg, /*train=*/true);
     auto loss = nn::masked_softmax_cross_entropy(
         rs.device, logits, shard.labels, shard.train_rows);
     rs.backward(loss.dlogits);
@@ -154,10 +156,16 @@ Expected<DistributedGcnResult> try_train_distributed_gcn(
   // Line 4, "Distribute Gi, Xi, Yi to worker i": accounted H2D of each
   // shard to its rank's device.  Kernels compute the same bits at either
   // placement, so this changes the (pinned) transfer ledger and nothing else.
+  // Â and X never change in full-batch training, so the worker aggregates
+  // Â X once, on its device, and every epoch's first layer starts from it.
+  // Each placement (a restore or a shrink included) pays that SpMM again.
   hooks.place_data = [&](int r, gpu::Device& dev) -> Status {
     Shard& shard = shards[static_cast<std::size_t>(r)];
     if (const Status s = shard.features.to_device(dev); !s.ok()) return s;
-    return shard.adj.to_device(dev);
+    if (const Status s = shard.adj.to_device(dev); !s.ok()) return s;
+    shard.agg = tensor::Tensor(shard.features.rows(), shard.features.cols());
+    graph::spmm(&dev, shard.adj, shard.features, shard.agg);
+    return {};
   };
   // Dask control plane: dispatch of each epoch's tasks is serialized on the
   // scheduler — the overhead that erases most of the wall-clock win for

@@ -13,6 +13,12 @@
 // the graph and distributing the training yielded minimal performance
 // improvement[, but] enhanced prediction accuracy ... compared to
 // sequential approaches."
+//
+// Â and X never change in full-batch training, so each worker aggregates
+// Â X once per shard placement (one SpMM on its device, repeated after a
+// restore or a shrink) and every epoch's first layer starts from it
+// (nn::Gcn::forward_aggregated).  The features take no gradient, so the
+// first layer's backward computes dW and db only.
 #pragma once
 
 #include <cstdint>

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <cstddef>
 #include <iomanip>
 #include <new>
 #include <sstream>
@@ -164,7 +165,9 @@ Expected<void*> Pool::allocate(std::size_t bytes) {
   if (it != free_lists_.end() && !it->second.empty()) {
     void* p = it->second.back();
     it->second.pop_back();
-    ASAN_UNPOISON_MEMORY_REGION(p, cls);
+    // The free poisoned the whole class; only the request becomes the
+    // caller's, so a read past it still faults under ASan.
+    ASAN_UNPOISON_MEMORY_REGION(p, bytes);
     ++stats_.hits;
     stats_.bytes_served += bytes;
     stats_.bytes_cached -= cls;
@@ -175,6 +178,7 @@ Expected<void*> Pool::allocate(std::size_t bytes) {
   }
   Expected<void*> p = upstream_allocate_locked(cls);
   if (!p) return p.status();
+  ASAN_POISON_MEMORY_REGION(static_cast<std::byte*>(*p) + bytes, cls - bytes);
   ++stats_.misses;
   stats_.bytes_served += bytes;
   stats_.bytes_live += cls;

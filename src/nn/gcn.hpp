@@ -28,18 +28,43 @@ class GcnConv : public Layer {
   /// different subgraph, e.g. distributed training replicas).
   void set_adjacency(const graph::NormalizedAdjacency* adj);
 
+  /// Aggregates Â X (one SpMM) and keeps it for dW, then runs the GEMM half.
   tensor::Tensor forward(gpu::Device* dev, const tensor::Tensor& x,
                          bool train) override;
+
+  /// The GEMM half of forward, for a caller that already holds Â X
+  /// (full-batch training, where Â and X never change).  Borrows @p agg
+  /// for dW: the caller keeps it alive and unchanged until the matching
+  /// backward has run.  Bit-identical to forward(x) when agg == Â X.
+  tensor::Tensor forward_aggregated(gpu::Device* dev,
+                                    const tensor::Tensor& agg);
+
+  /// dW += (Â X)^T dy and db += colsum(dy), then dX = Â (dy W^T).
   tensor::Tensor backward(gpu::Device* dev, const tensor::Tensor& dy) override;
+
+  /// backward without the dX tail, for a first layer whose input gradient
+  /// nothing reads: no dX GEMM and no SpMM.
+  void backward_params(gpu::Device* dev, const tensor::Tensor& dy);
+
   std::vector<Param*> params() override { return {&weight_, &bias_}; }
   std::string name() const override { return "gcn_conv"; }
 
  private:
+  void check_input(const tensor::Tensor& x) const;
+  /// act(agg W + b): the GEMM half both forwards share.
+  tensor::Tensor transform(gpu::Device* dev, const tensor::Tensor& agg);
+  /// Accumulates dW and db; returns the gradient at the pre-activation
+  /// (@p dy, or @p dpre after the ReLU mask).
+  const tensor::Tensor& accumulate_param_grads(gpu::Device* dev,
+                                               const tensor::Tensor& dy,
+                                               tensor::Tensor& dpre);
+
   const graph::NormalizedAdjacency* adj_;
   Param weight_;
   Param bias_;
   Activation activation_;
-  tensor::Tensor cached_agg_;  ///< Â X, needed for dW
+  tensor::Tensor cached_agg_;  ///< Â X from forward, needed for dW
+  const tensor::Tensor* borrowed_agg_{nullptr};  ///< from forward_aggregated
   tensor::Tensor cached_pre_;  ///< pre-activation, kRelu only
 };
 
@@ -61,7 +86,13 @@ class Gcn {
   tensor::Tensor forward(gpu::Device* dev, const tensor::Tensor& x,
                          bool train);
 
-  /// Backprop from dL/dlogits; accumulates parameter gradients.
+  /// forward from a precomputed first-layer aggregate @p agg = Â X; conv1
+  /// borrows it until the matching backward (GcnConv::forward_aggregated).
+  tensor::Tensor forward_aggregated(gpu::Device* dev,
+                                    const tensor::Tensor& agg, bool train);
+
+  /// Backprop from dL/dlogits; accumulates parameter gradients.  The input
+  /// features take no gradient, so conv1 computes dW and db only.
   void backward(gpu::Device* dev, const tensor::Tensor& dlogits);
 
   /// Backprop with a gradient-readiness hook: @p on_param_ready fires for

@@ -81,26 +81,34 @@ inline void write_cell(const GemmSpec& s, std::size_t i, std::size_t j,
 // The kernel shape is constrained by the register file: the accumulator
 // tile plus one B panel row and the broadcast A value must fit, or the
 // accumulators spill and performance falls off a cliff.
+//
+// A is addressed by strides: element (ii, p) of the tile is a[ii*rs + p*ks].
+// A packed micro-panel is (rs, ks) = (1, MR); op(A) read in place is
+// (lda, 1) for ta = false and (1, lda) for ta = true.  B is always packed.
 
-// Rows per register micro-tile, and rows per packed A panel (the parallel
-// grain along M; a whole number of micro-tiles).  op(B) is packed whole.
+// Rows per register micro-tile, and rows per A panel (the parallel grain
+// along M; a whole number of micro-tiles).  op(B) is packed whole.
 constexpr std::size_t kMR = 4;
 constexpr std::size_t kMC = 64;
+// Widest panel any micro-kernel uses (AVX2's NR).
+constexpr std::size_t kMaxNR = 16;
 
-using MicroFn = void (*)(const float* __restrict, const float* __restrict,
-                         std::size_t, float* __restrict);
+using MicroFn = void (*)(const float* __restrict, std::size_t, std::size_t,
+                         const float* __restrict, std::size_t,
+                         float* __restrict);
 
 /// Portable MR x NR kernel.  The local copy (rather than accumulating in
 /// `acc` directly) is what lets GCC scalar-replace the tile into registers
 /// across the whole k loop.
 template <std::size_t MR, std::size_t NR>
-void micro_portable(const float* __restrict ap, const float* __restrict bp,
-                    std::size_t k, float* __restrict acc) {
+void micro_portable(const float* __restrict a, std::size_t rs, std::size_t ks,
+                    const float* __restrict bp, std::size_t k,
+                    float* __restrict acc) {
   float local[MR * NR];
   for (std::size_t i = 0; i < MR * NR; ++i) local[i] = acc[i];
-  for (std::size_t p = 0; p < k; ++p, ap += MR, bp += NR) {
+  for (std::size_t p = 0; p < k; ++p, a += ks, bp += NR) {
     for (std::size_t ii = 0; ii < MR; ++ii) {
-      const float av = ap[ii];
+      const float av = a[ii * rs];
       float* __restrict row = local + ii * NR;
       for (std::size_t jj = 0; jj < NR; ++jj) row[jj] += av * bp[jj];
     }
@@ -114,19 +122,18 @@ void micro_portable(const float* __restrict ap, const float* __restrict bp,
 /// Plain vmulps/vaddps (no FMA), ascending k per cell — bit-identical to
 /// the portable and naive paths.
 template <std::size_t MR, std::size_t NG>
-__attribute__((target("avx2"))) void micro_avx2(const float* __restrict ap,
-                                                const float* __restrict bp,
-                                                std::size_t k,
-                                                float* __restrict acc) {
+__attribute__((target("avx2"))) void micro_avx2(
+    const float* __restrict a, std::size_t rs, std::size_t ks,
+    const float* __restrict bp, std::size_t k, float* __restrict acc) {
   __m256 c[MR][NG];
   for (std::size_t ii = 0; ii < MR; ++ii)
     for (std::size_t g = 0; g < NG; ++g)
       c[ii][g] = _mm256_loadu_ps(acc + (ii * NG + g) * 8);
-  for (std::size_t p = 0; p < k; ++p, ap += MR, bp += NG * 8) {
+  for (std::size_t p = 0; p < k; ++p, a += ks, bp += NG * 8) {
     __m256 b[NG];
     for (std::size_t g = 0; g < NG; ++g) b[g] = _mm256_loadu_ps(bp + g * 8);
     for (std::size_t ii = 0; ii < MR; ++ii) {
-      const __m256 av = _mm256_set1_ps(ap[ii]);
+      const __m256 av = _mm256_set1_ps(a[ii * rs]);
       for (std::size_t g = 0; g < NG; ++g)
         c[ii][g] = _mm256_add_ps(c[ii][g], _mm256_mul_ps(av, b[g]));
     }
@@ -204,7 +211,7 @@ void run_panel(const GemmSpec& s, const Micro& mk, const float* apack,
     const float* bp = bpack + jp * s.k * nr;
     std::fill(acc, acc + micro_rows * kMR * nr, 0.0f);
     for (std::size_t mi = 0; mi < micro_rows; ++mi)
-      mk.fn(apack + mi * s.k * kMR, bp, s.k, acc + mi * kMR * nr);
+      mk.fn(apack + mi * s.k * kMR, 1, kMR, bp, s.k, acc + mi * kMR * nr);
     const std::size_t jb = jp * nr;
     const std::size_t jw = std::min(nr, s.n - jb);
     for (std::size_t mi = 0; mi < micro_rows; ++mi) {
@@ -213,6 +220,32 @@ void run_panel(const GemmSpec& s, const Micro& mk, const float* apack,
         write_row(s, i0 + mi * kMR + ii, jb, jw,
                   acc + mi * kMR * nr + ii * nr);
     }
+  }
+}
+
+/// Output rows [i0, i0 + mrows) when op(B) is a single panel: each A
+/// element feeds exactly one micro-tile, so packing A would copy it once to
+/// read it once.  Full micro-tiles read op(A) in place; only a partial last
+/// tile is packed (zero-padded), so no kernel reads past A's last row.
+void run_narrow_panel(const GemmSpec& s, const Micro& mk, std::size_t i0,
+                      std::size_t mrows, const float* bpack) {
+  const std::size_t rs = s.ta ? 1 : s.lda;
+  const std::size_t ks = s.ta ? s.lda : 1;
+  float acc[kMR * kMaxNR];
+  const auto tile = [&](const float* a, std::size_t a_rs, std::size_t a_ks,
+                        std::size_t ib, std::size_t iw) {
+    std::fill(acc, acc + kMR * mk.nr, 0.0f);
+    mk.fn(a, a_rs, a_ks, bpack, s.k, acc);
+    for (std::size_t ii = 0; ii < iw; ++ii)
+      write_row(s, ib + ii, 0, s.n, acc + ii * mk.nr);
+  };
+  const std::size_t full = mrows / kMR * kMR;
+  for (std::size_t ib = i0; ib < i0 + full; ib += kMR)
+    tile(s.a + ib * rs, rs, ks, ib, kMR);
+  if (full < mrows) {
+    compute::Scratch tail(kMR * s.k * sizeof(float));
+    pack_a_panel(s, i0 + full, mrows - full, tail.floats());
+    tile(tail.floats(), 1, kMR, i0 + full, mrows - full);
   }
 }
 
@@ -233,22 +266,33 @@ void gemm_host_blocked(const GemmSpec& s, compute::Isa isa) {
   const Micro mk = micro_for(isa);
   const std::size_t mpanels = (s.m + kMC - 1) / kMC;
 
-  // Pooled packing scratch: op(B) whole, and one A panel per MC rows.  kMC
-  // is a whole number of micro-tiles, so panel ib starts at ib * kMC * k.
-  const std::size_t mrows_padded = (s.m + kMR - 1) / kMR * kMR;
+  // Pooled packing scratch: op(B) whole, and, when op(B) spans more than
+  // one panel, one A panel per MC rows.  kMC is a whole number of
+  // micro-tiles, so panel ib starts at ib * kMC * k.
   const std::size_t ncols_padded = (s.n + mk.nr - 1) / mk.nr * mk.nr;
-  compute::Scratch apack(mrows_padded * s.k * sizeof(float));
   compute::Scratch bpack(ncols_padded * s.k * sizeof(float));
-  float* ap = apack.floats();
   float* bp = bpack.floats();
   pack_b(s, mk.nr, bp);
 
-  // One task per MC-row panel packs its A panel and sweeps it across every
-  // B panel.  Partitioning is over M only — every output element belongs
-  // to exactly one panel task — so the worker count cannot perturb result
-  // bits.  Tiny shapes run the loop inline on the calling thread.
+  // One task per MC-row panel sweeps its rows across every B panel.
+  // Partitioning is over M only — every output element belongs to exactly
+  // one panel task — so the worker count cannot perturb result bits.  Tiny
+  // shapes run the loop inline on the calling thread.
   const std::uint64_t grain =
       s.m * s.n * s.k < kSerialFlopFloor ? UINT64_MAX : 1;
+  if (s.n <= mk.nr) {
+    compute::executor().parallel_for(
+        mpanels,
+        [&](std::uint64_t ib) {
+          const std::size_t i0 = ib * kMC;
+          run_narrow_panel(s, mk, i0, std::min(kMC, s.m - i0), bp);
+        },
+        grain);
+    return;
+  }
+  const std::size_t mrows_padded = (s.m + kMR - 1) / kMR * kMR;
+  compute::Scratch apack(mrows_padded * s.k * sizeof(float));
+  float* ap = apack.floats();
   compute::executor().parallel_for(
       mpanels,
       [&](std::uint64_t ib) {

@@ -6,15 +6,19 @@
 // gpu::Executor::parallel_for on compute::executor() with one task per
 // 64-row panel: each task packs its A panel and computes that panel's
 // 4 x NR register tiles across every B panel.  NR is 16 on AVX2 and 8 on
-// the portable kernel.
+// the portable kernel.  When op(B) is a single panel (n <= NR) each A
+// element feeds one tile only, so the micro-kernels read op(A) in place
+// through its row and k strides and the GEMM allocates no A panel
+// scratch; only a final partial tile of fewer than 4 rows is packed
+// (zero-padded) into a one-tile scratch.
 //
 // Both backends accumulate every output element as the same ascending-k
 // chain of float multiply-adds, so they are bit-identical by construction
-// at any worker count and on either ISA: packing changes the memory layout,
-// never the reduction order.  That is what lets the training stack swap
-// kernels without perturbing the checkpoint bit-identity ladder (see
-// DESIGN.md "Host kernels").  No kernel contracts a multiply-add, so the
-// guarantee has no exception.
+// at any worker count and on either ISA: packing, or reading A in place,
+// changes the memory layout, never the reduction order.  That is what lets
+// the training stack swap kernels without perturbing the checkpoint
+// bit-identity ladder (see DESIGN.md "Host kernels").  No kernel contracts
+// a multiply-add, so the guarantee has no exception.
 #pragma once
 
 #include <cstddef>

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "compute/plan.hpp"
@@ -202,40 +203,47 @@ TEST(WorkerSweep, GemmBitIdenticalAcrossWorkerCountsAndIsas) {
 
 TEST(WorkerSweep, GemmTransposedAccumulateBitIdentical) {
   Rng rng(911);
-  const std::size_t m = 33, k = 40, n = 17;
-  tensor::Tensor a(m, k), b(k, n), seed(m, n);
-  a.init_uniform(rng, -1, 1);
-  b.init_uniform(rng, -1, 1);
-  seed.init_uniform(rng, -1, 1);
-  const tensor::Tensor at = transposed_copy(a), bt = transposed_copy(b);
+  // 320x70x16 is the dW form (Â X)^T dY: one B panel on AVX2, A read in
+  // place, and past kSerialFlopFloor, so the pools split it over M.
+  // 322x104x8 is one panel on the portable kernel too, and its last MC
+  // panel ends in a 2-row partial micro-tile.
+  using Shape = std::tuple<std::size_t, std::size_t, std::size_t>;
+  for (const auto& [m, k, n] :
+       {Shape{33, 40, 17}, Shape{320, 70, 16}, Shape{322, 104, 8}}) {
+    tensor::Tensor a(m, k), b(k, n), seed(m, n);
+    a.init_uniform(rng, -1, 1);
+    b.init_uniform(rng, -1, 1);
+    seed.init_uniform(rng, -1, 1);
+    const tensor::Tensor at = transposed_copy(a), bt = transposed_copy(b);
 
-  ops::detail::GemmSpec spec;
-  spec.a = at.data();
-  spec.b = bt.data();
-  spec.m = m;
-  spec.n = n;
-  spec.k = k;
-  spec.lda = at.cols();
-  spec.ldb = bt.cols();
-  spec.ta = true;
-  spec.tb = true;
-  spec.alpha = 0.5f;
-  spec.accumulate = true;
+    ops::detail::GemmSpec spec;
+    spec.a = at.data();
+    spec.b = bt.data();
+    spec.m = m;
+    spec.n = n;
+    spec.k = k;
+    spec.lda = at.cols();
+    spec.ldb = bt.cols();
+    spec.ta = true;
+    spec.tb = true;
+    spec.alpha = 0.5f;
+    spec.accumulate = true;
 
-  tensor::Tensor ref = seed;
-  spec.c = ref.data();
-  ops::detail::gemm_host_naive(spec);
+    tensor::Tensor ref = seed;
+    spec.c = ref.data();
+    ops::detail::gemm_host_naive(spec);
 
-  for (const unsigned workers : {1u, 2u, 8u}) {
-    gpu::Executor ex(workers);
-    ExecutorGuard guard(&ex);
-    for (const compute::Isa isa : kIsas) {
-      tensor::Tensor out = seed;
-      spec.c = out.data();
-      ops::detail::gemm_host_blocked(spec, isa);
-      for (std::size_t i = 0; i < ref.size(); ++i)
-        ASSERT_EQ(ref[i], out[i])
-            << "workers=" << workers << " isa=" << name(isa) << " at " << i;
+    for (const unsigned workers : {1u, 2u, 8u}) {
+      gpu::Executor ex(workers);
+      ExecutorGuard guard(&ex);
+      for (const compute::Isa isa : kIsas) {
+        tensor::Tensor out = seed;
+        spec.c = out.data();
+        ops::detail::gemm_host_blocked(spec, isa);
+        for (std::size_t i = 0; i < ref.size(); ++i)
+          ASSERT_EQ(ref[i], out[i]) << "m=" << m << " workers=" << workers
+                                    << " isa=" << name(isa) << " at " << i;
+      }
     }
   }
 }

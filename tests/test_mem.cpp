@@ -187,6 +187,44 @@ TEST(PoolDeathTest, CachedBlockIsPoisonedUnderAsan) {
       },
       "use-after-poison");
 }
+
+TEST(PoolDeathTest, BytesPastRequestArePoisonedUnderAsan) {
+  // A 100-byte request is served from the 128-byte class.  The slack past
+  // the request belongs to no caller, so a read of byte 100 must fault as
+  // it would past the end of a real malloc(100): on a miss (a fresh
+  // upstream block) and on a hit (a recycled one).
+  const auto make_pool = [] {
+    return mem::Pool(
+        "slack", [](std::size_t bytes) -> Expected<void*> {
+          return ::operator new(bytes);
+        },
+        [](void* p) { ::operator delete(p); });
+  };
+  EXPECT_DEATH(
+      {
+        mem::Pool pool = make_pool();
+        Expected<void*> block = pool.allocate(100);
+        ASSERT_TRUE(block);
+        auto* bytes = static_cast<volatile unsigned char*>(*block);
+        bytes[99] = 1;
+        (void)bytes[100];
+      },
+      "use-after-poison");
+  EXPECT_DEATH(
+      {
+        mem::Pool pool = make_pool();
+        Expected<void*> warm = pool.allocate(128);
+        ASSERT_TRUE(warm);
+        pool.free(*warm);
+        Expected<void*> block = pool.allocate(100);
+        ASSERT_TRUE(block);
+        ASSERT_EQ(pool.stats().hits, 1u);
+        auto* bytes = static_cast<volatile unsigned char*>(*block);
+        bytes[99] = 1;
+        (void)bytes[100];
+      },
+      "use-after-poison");
+}
 #endif
 
 TEST(Pool, HostPoolRecyclesBufferBlocks) {

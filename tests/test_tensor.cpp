@@ -411,13 +411,17 @@ TEST_P(GemmBackendConformance, BlockedMatchesNaiveBitwise) {
 
 // Ragged shapes straddle every panel boundary: micro-tile remainders in m
 // (MR=4), panel remainders in n for both the 8- and 16-wide layouts, and
-// k values that are not multiples of anything.
+// k values that are not multiples of anything.  The last four span several
+// MC panels with MR tails of 1-3 rows, and put n on both sides of NR = 16
+// and NR = 8, where one-panel GEMMs read A in place.
 INSTANTIATE_TEST_SUITE_P(
     Shapes, GemmBackendConformance,
     ::testing::Values(std::tuple{1, 1, 1}, std::tuple{3, 5, 2},
                       std::tuple{4, 8, 8}, std::tuple{5, 9, 7},
                       std::tuple{17, 31, 13}, std::tuple{64, 64, 64},
-                      std::tuple{65, 67, 66}, std::tuple{128, 33, 96}));
+                      std::tuple{65, 67, 66}, std::tuple{128, 33, 96},
+                      std::tuple{130, 70, 16}, std::tuple{131, 257, 3},
+                      std::tuple{66, 500, 8}, std::tuple{201, 33, 17}));
 
 TEST(GemmFusedEpilogue, MatchesDecomposedPassesBitwise) {
   Rng rng(2024);
@@ -449,29 +453,32 @@ TEST(GemmFusedEpilogue, MatchesDecomposedPassesBitwise) {
 
 TEST(GemmFusedEpilogue, BlockedMatchesNaiveWithTransposes) {
   Rng rng(77);
-  const std::size_t m = 21, k = 34, n = 18;
-  tensor::Tensor a(m, k), b(k, n), bias(1, n);
-  a.init_uniform(rng, -1, 1);
-  b.init_uniform(rng, -1, 1);
-  bias.init_uniform(rng, -0.5f, 0.5f);
-  const tensor::Tensor at = transposed(a), bt = transposed(b);
+  // n = 18 packs A; n = 16 and n = 3 are one B panel and read A in place.
+  for (const std::size_t n : {18, 16, 3}) {
+    const std::size_t m = 21, k = 34;
+    tensor::Tensor a(m, k), b(k, n), bias(1, n);
+    a.init_uniform(rng, -1, 1);
+    b.init_uniform(rng, -1, 1);
+    bias.init_uniform(rng, -0.5f, 0.5f);
+    const tensor::Tensor at = transposed(a), bt = transposed(b);
 
-  for (const bool ta : {false, true}) {
-    for (const bool tb : {false, true}) {
-      const tensor::Tensor& lhs = ta ? at : a;
-      const tensor::Tensor& rhs = tb ? bt : b;
-      tensor::Tensor pre_n(m, n), out_n(m, n), pre_b(m, n), out_b(m, n);
-      const auto bias_relu = [&](tensor::Tensor& pre, tensor::Tensor& out) {
-        ops::detail::GemmSpec s = gemm_spec(lhs, rhs, out, ta, tb);
-        s.bias = bias.data();
-        s.pre = pre.data();
-        s.epilogue = ops::detail::Epilogue::kBiasRelu;
-        return s;
-      };
-      ops::detail::gemm_host_naive(bias_relu(pre_n, out_n));
-      ops::detail::gemm_host_blocked(bias_relu(pre_b, out_b));
-      expect_bitwise(pre_n, pre_b);
-      expect_bitwise(out_n, out_b);
+    for (const bool ta : {false, true}) {
+      for (const bool tb : {false, true}) {
+        const tensor::Tensor& lhs = ta ? at : a;
+        const tensor::Tensor& rhs = tb ? bt : b;
+        tensor::Tensor pre_n(m, n), out_n(m, n), pre_b(m, n), out_b(m, n);
+        const auto bias_relu = [&](tensor::Tensor& pre, tensor::Tensor& out) {
+          ops::detail::GemmSpec s = gemm_spec(lhs, rhs, out, ta, tb);
+          s.bias = bias.data();
+          s.pre = pre.data();
+          s.epilogue = ops::detail::Epilogue::kBiasRelu;
+          return s;
+        };
+        ops::detail::gemm_host_naive(bias_relu(pre_n, out_n));
+        ops::detail::gemm_host_blocked(bias_relu(pre_b, out_b));
+        expect_bitwise(pre_n, pre_b);
+        expect_bitwise(out_n, out_b);
+      }
     }
   }
 }
